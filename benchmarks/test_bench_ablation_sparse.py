@@ -13,7 +13,7 @@ import pytest
 from repro.core.embedding import embed_timing
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.qmatrix import build_q_dense
-from repro.solvers.burkard import _IterationState, resolve_penalty
+from repro.solvers.burkard import IterationState, resolve_penalty
 
 CIRCUIT = "cktb"
 
@@ -26,7 +26,7 @@ def setting(request):
     problem = workload.problem
     evaluator = ObjectiveEvaluator(problem)
     penalty = resolve_penalty(problem, "paper")
-    state = _IterationState(problem, evaluator, penalty, "burkard")
+    state = IterationState(problem, evaluator, penalty, "burkard")
     part = initials[CIRCUIT].part
     return problem, state, part, penalty
 

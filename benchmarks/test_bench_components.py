@@ -9,11 +9,11 @@ visible in isolation.
 import numpy as np
 import pytest
 
-from repro.baselines.engine import GainEngine
 from repro.baselines.gfm import _run_pass as gfm_pass
 from repro.baselines.gkl import _run_pass as gkl_pass
 from repro.core.constraints import check_feasibility
 from repro.core.objective import ObjectiveEvaluator
+from repro.engine.delta import DeltaCache
 from repro.solvers.gap import solve_gap
 from repro.timing.graph import TimingGraph
 
@@ -57,9 +57,9 @@ def test_bench_gap_solve(benchmark, setting):
     assert result.num_items == problem.num_components
 
 
-def test_bench_gain_engine_build(benchmark, setting):
+def test_bench_delta_cache_build(benchmark, setting):
     workload, initial = setting
-    engine = benchmark(GainEngine, workload.problem, initial)
+    engine = benchmark(DeltaCache, workload.problem, initial)
     assert engine.n == workload.num_components
 
 
@@ -67,7 +67,7 @@ def test_bench_gfm_pass(benchmark, setting):
     workload, initial = setting
 
     def one_pass():
-        engine = GainEngine(workload.problem, initial)
+        engine = DeltaCache(workload.problem, initial)
         return gfm_pass(engine, None)
 
     improvement, moves = benchmark.pedantic(one_pass, rounds=1)
@@ -78,7 +78,7 @@ def test_bench_gkl_pass(benchmark, setting):
     workload, initial = setting
 
     def one_pass():
-        engine = GainEngine(workload.problem, initial)
+        engine = DeltaCache(workload.problem, initial)
         return gkl_pass(engine, None)
 
     improvement, swaps = benchmark.pedantic(one_pass, rounds=1)

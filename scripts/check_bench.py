@@ -24,13 +24,8 @@ counters come from the latest recorded run, timing gauges from the
 window median, so the gate tracks the fleet's recent reality instead of
 one frozen machine.
 
-``bench-scaling-v1`` documents (written by
-``benchmarks/bench_scaling.py``) gate per ``(N, K)`` cell instead:
-``delta.*`` counters exactly (deterministic move replay), per-kernel
-wall times within the time tolerance, and the batched/scalar speedup
-against the baseline cell's ``min_speedup`` floor - the batched kernel
-must never be slower than its committed margin.  Every violation prints
-one line naming the offending metric and both values.
+Every violation prints one line naming the offending metric and both
+values.
 
 Usage::
 
@@ -40,8 +35,6 @@ Usage::
         --baseline benchmarks/baselines/eval-small.json
     python scripts/check_bench.py current.json \\
         --ledger benchmarks/ledger.jsonl --window 10
-    python scripts/check_bench.py BENCH_scaling.json \\
-        --baseline benchmarks/baselines/scaling.json
 
 Exit codes: 0 within tolerance, 1 drift detected, 2 unreadable input.
 Needs ``src`` on ``PYTHONPATH`` (or the package installed).
@@ -60,19 +53,14 @@ from repro.obs.metrics import METRICS_SNAPSHOT_FORMAT, diff_snapshots
 DEFAULT_COUNTER_TOLERANCE = 0.0
 DEFAULT_TIME_TOLERANCE = 10.0
 TIME_GAUGE_SUFFIX = "_seconds"
-# Kept in sync with benchmarks/bench_scaling.py (scripts/ cannot import
-# benchmarks/): the per-cell kernel-comparison schema.
-BENCH_SCALING_FORMAT = "bench-scaling-v1"
-DEFAULT_MIN_SPEEDUP = 1.0
-KNOWN_FORMATS = (METRICS_SNAPSHOT_FORMAT, BENCH_SCALING_FORMAT)
 
 
 def load_snapshot(path) -> Dict[str, Any]:
-    """Read and sanity-check a metrics-snapshot or bench-scaling JSON."""
+    """Read and sanity-check a metrics-snapshot JSON."""
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") not in KNOWN_FORMATS:
+    if payload.get("format") != METRICS_SNAPSHOT_FORMAT:
         raise ValueError(
-            f"{path}: expected format in {KNOWN_FORMATS}, "
+            f"{path}: expected format {METRICS_SNAPSHOT_FORMAT!r}, "
             f"got {payload.get('format')!r}"
         )
     return payload
@@ -139,103 +127,6 @@ def check_bench(
     return problems
 
 
-def _cells_by_key(payload: Dict[str, Any]) -> Dict[tuple, Dict[str, Any]]:
-    return {
-        (int(cell["n"]), int(cell["k"])): cell
-        for cell in payload.get("cells", [])
-    }
-
-
-def check_scaling(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    *,
-    time_tolerance: float = DEFAULT_TIME_TOLERANCE,
-) -> List[str]:
-    """Compare two ``bench-scaling-v1`` documents (empty list = pass).
-
-    Per baseline cell: ``delta.*`` counters must match **exactly** (the
-    replay is deterministic, so any drift means the kernels' work
-    content changed), per-kernel wall times must stay within
-    ``time_tolerance`` (ratio, either direction), and the batched/scalar
-    ``speedup`` must meet the cell's committed ``min_speedup`` floor
-    (default 1: batched must not be slower than scalar).  Cells present
-    only in the current run are informational.
-    """
-    problems: List[str] = []
-    current_cells = _cells_by_key(current)
-    for key, base_cell in sorted(_cells_by_key(baseline).items()):
-        n, k = key
-        label = f"cell n={n} k={k}"
-        cell = current_cells.get(key)
-        if cell is None:
-            problems.append(f"{label}: present in baseline, missing from run")
-            continue
-        for kernel, base_side in sorted(base_cell.get("kernels", {}).items()):
-            side = cell.get("kernels", {}).get(kernel)
-            if side is None:
-                problems.append(
-                    f"{label} kernel {kernel}: present in baseline, "
-                    "missing from run"
-                )
-                continue
-            base_counters = base_side.get("counters", {})
-            counters = side.get("counters", {})
-            for name in sorted(base_counters):
-                if name not in counters:
-                    problems.append(
-                        f"{label} {kernel} counter {name}: baseline "
-                        f"{base_counters[name]:g}, missing from run"
-                    )
-                elif float(counters[name]) != float(base_counters[name]):
-                    problems.append(
-                        f"{label} {kernel} counter {name}: "
-                        f"{base_counters[name]:g} -> {counters[name]:g} "
-                        "(deterministic counter drifted)"
-                    )
-            base_s = float(base_side.get("seconds", 0.0))
-            cur_s = float(side.get("seconds", 0.0))
-            if base_s > 0.0 and cur_s > 0.0:
-                ratio = max(cur_s / base_s, base_s / cur_s)
-                if ratio > time_tolerance:
-                    problems.append(
-                        f"{label} kernel {kernel}: {base_s:g}s -> {cur_s:g}s "
-                        f"({ratio:.1f}x outside {time_tolerance:g}x tolerance)"
-                    )
-        floor = float(base_cell.get("min_speedup", DEFAULT_MIN_SPEEDUP))
-        speedup = float(cell.get("speedup", 0.0))
-        if speedup < floor:
-            batched = cell.get("kernels", {}).get("batched", {}).get("seconds")
-            scalar = cell.get("kernels", {}).get("scalar", {}).get("seconds")
-            problems.append(
-                f"{label} speedup: {speedup:.2f}x < required {floor:g}x "
-                f"(batched {batched}s vs scalar {scalar}s)"
-            )
-    return problems
-
-
-def update_scaling_baseline(
-    current: Dict[str, Any], previous: Optional[Dict[str, Any]]
-) -> Dict[str, Any]:
-    """A fresh scaling baseline from ``current``, keeping speedup floors.
-
-    ``min_speedup`` encodes a reviewed performance *requirement*, not a
-    measurement, so re-baselining wall times must not erase it: floors
-    carry over from the previous baseline per cell; new cells get the
-    default floor.
-    """
-    payload = json.loads(json.dumps(current))  # deep copy
-    old_cells = _cells_by_key(previous) if previous else {}
-    for cell in payload.get("cells", []):
-        old = old_cells.get((int(cell["n"]), int(cell["k"])))
-        cell["min_speedup"] = (
-            float(old.get("min_speedup", DEFAULT_MIN_SPEEDUP))
-            if old
-            else DEFAULT_MIN_SPEEDUP
-        )
-    return payload
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Diff a metrics snapshot against a committed baseline."
@@ -280,22 +171,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"check_bench: unreadable current snapshot: {exc}", file=sys.stderr)
         return 2
-    is_scaling = current.get("format") == BENCH_SCALING_FORMAT
-    if is_scaling and args.ledger is not None:
-        parser.error(
-            "bench-scaling-v1 documents gate against a committed --baseline, "
-            "not a run ledger"
-        )
 
     if args.update:
-        if is_scaling:
-            previous = None
-            if Path(args.baseline).exists():
-                try:
-                    previous = load_snapshot(args.baseline)
-                except (OSError, ValueError, json.JSONDecodeError):
-                    previous = None
-            current = update_scaling_baseline(current, previous)
         Path(args.baseline).parent.mkdir(parents=True, exist_ok=True)
         Path(args.baseline).write_text(
             json.dumps(current, indent=2, sort_keys=True) + "\n"
@@ -332,26 +209,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"check_bench: unreadable baseline: {exc}", file=sys.stderr)
             return 2
         baseline_label = args.baseline
-        if baseline.get("format") != current.get("format"):
-            print(
-                f"check_bench: format mismatch: {args.current} is "
-                f"{current.get('format')!r} but {args.baseline} is "
-                f"{baseline.get('format')!r}",
-                file=sys.stderr,
-            )
-            return 2
 
-    if is_scaling:
-        problems = check_scaling(
-            current, baseline, time_tolerance=args.time_tolerance
-        )
-    else:
-        problems = check_bench(
-            current,
-            baseline,
-            counter_tolerance=args.counter_tolerance,
-            time_tolerance=args.time_tolerance,
-        )
+    problems = check_bench(
+        current,
+        baseline,
+        counter_tolerance=args.counter_tolerance,
+        time_tolerance=args.time_tolerance,
+    )
     if problems:
         for problem in problems:
             print(f"check_bench: {problem}", file=sys.stderr)

@@ -15,18 +15,16 @@ we:
 
 Both support arbitrary interconnection cost metrics (Manhattan,
 quadratic, crossing counts - any ``B``), as the paper's generalization
-requires, via the shared vectorised :class:`~repro.baselines.engine.GainEngine`.
+requires, via the shared incremental :class:`~repro.engine.delta.DeltaCache`.
 """
 
 from repro.baselines.annealing import annealing_partition
-from repro.baselines.engine import GainEngine
 from repro.baselines.gfm import gfm_partition
 from repro.baselines.gkl import gkl_partition
 from repro.baselines.result import InterchangeResult
 from repro.baselines.spectral import SpectralResult, spectral_partition
 
 __all__ = [
-    "GainEngine",
     "InterchangeResult",
     "SpectralResult",
     "annealing_partition",

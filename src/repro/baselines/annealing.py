@@ -43,7 +43,6 @@ def annealing_partition(
     seed: RandomSource = None,
     budget: Optional[Budget] = None,
     telemetry: Optional[Telemetry] = None,
-    kernel: Optional[str] = None,
 ) -> InterchangeResult:
     """Anneal from a feasible ``initial`` assignment.
 
@@ -68,10 +67,6 @@ def annealing_partition(
         the ambient instance.  Each temperature step emits an
         ``IterationEvent`` (``solver="annealing"``) and bumps
         ``solver.passes``.
-    kernel:
-        Move-evaluation kernel mode (``"batched"``/``"scalar"``);
-        ``None`` reads ``REPRO_KERNEL`` (default batched).  The result
-        is identical either way.
     """
     report = check_feasibility(problem, initial)
     if not report.feasible:
@@ -84,7 +79,7 @@ def annealing_partition(
     tel = resolve_telemetry(telemetry)
     start_time = time.perf_counter()
     rng = ensure_rng(seed)
-    engine = DeltaCache(problem, initial, kernel=kernel)
+    engine = DeltaCache(problem, initial)
     n, m = engine.n, engine.m
     proposals = moves_per_temperature or 8 * n
     initial_cost = engine.current_cost()

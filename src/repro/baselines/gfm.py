@@ -45,7 +45,6 @@ def gfm_partition(
     min_gain: float = 1e-9,
     budget: Optional[Budget] = None,
     telemetry: Optional[Telemetry] = None,
-    kernel: Optional[str] = None,
 ) -> InterchangeResult:
     """Run GFM from a feasible ``initial`` assignment.
 
@@ -71,10 +70,6 @@ def gfm_partition(
         Optional :class:`~repro.obs.telemetry.Telemetry`; ``None`` uses
         the ambient instance.  Each pass emits an ``IterationEvent``
         (``solver="gfm"``) and bumps the ``solver.passes`` counter.
-    kernel:
-        Move-evaluation kernel mode (``"batched"``/``"scalar"``);
-        ``None`` reads ``REPRO_KERNEL`` (default batched).  The result
-        is identical either way.
     """
     report = check_feasibility(problem, initial)
     if not report.feasible:
@@ -82,7 +77,7 @@ def gfm_partition(
 
     tel = resolve_telemetry(telemetry)
     start = time.perf_counter()
-    engine = DeltaCache(problem, initial, kernel=kernel)
+    engine = DeltaCache(problem, initial)
     initial_cost = engine.current_cost()
     pass_costs: List[float] = []
     total_moves = 0

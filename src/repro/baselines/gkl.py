@@ -48,7 +48,6 @@ def gkl_partition(
     min_gain: float = 1e-9,
     budget: Optional[Budget] = None,
     telemetry: Optional[Telemetry] = None,
-    kernel: Optional[str] = None,
 ) -> InterchangeResult:
     """Run GKL from a feasible ``initial`` assignment.
 
@@ -70,10 +69,6 @@ def gkl_partition(
         Optional :class:`~repro.obs.telemetry.Telemetry`; ``None`` uses
         the ambient instance.  Each outer loop emits an
         ``IterationEvent`` (``solver="gkl"``) and bumps ``solver.passes``.
-    kernel:
-        Move-evaluation kernel mode (``"batched"``/``"scalar"``);
-        ``None`` reads ``REPRO_KERNEL`` (default batched).  The result
-        is identical either way.
     """
     report = check_feasibility(problem, initial)
     if not report.feasible:
@@ -81,7 +76,7 @@ def gkl_partition(
 
     tel = resolve_telemetry(telemetry)
     start = time.perf_counter()
-    engine = DeltaCache(problem, initial, kernel=kernel)
+    engine = DeltaCache(problem, initial)
     initial_cost = engine.current_cost()
     pass_costs: List[float] = []
     total_swaps = 0

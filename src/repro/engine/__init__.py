@@ -28,14 +28,7 @@ Layering (machine-enforced by ``scripts/check_imports.py`` and
 """
 
 from repro.engine.context import SolverContext
-from repro.engine.delta import (
-    ETA_MODES,
-    KERNEL_ENV,
-    KERNEL_MODES,
-    DeltaCache,
-    DeltaStats,
-    resolve_kernel,
-)
+from repro.engine.delta import ETA_MODES, DeltaCache, DeltaStats
 from repro.engine.fanout import BestFold, fold_outcomes
 from repro.engine.outcome import SolveOutcome
 from repro.engine.registry import (
@@ -52,8 +45,6 @@ __all__ = [
     "DeltaCache",
     "DeltaStats",
     "ETA_MODES",
-    "KERNEL_ENV",
-    "KERNEL_MODES",
     "RunContext",
     "SolveOutcome",
     "SolverConfig",
@@ -63,5 +54,4 @@ __all__ = [
     "UnknownSolverError",
     "config_field",
     "fold_outcomes",
-    "resolve_kernel",
 ]

@@ -19,14 +19,10 @@ All three are updated *incrementally* after a move: only the rows of the
 moved component's wire/constraint neighbours are recomputed, so a full
 GFM pass costs O(nnz(A) * M) instead of O(N^2 * M).
 
-Two kernel implementations back the maintenance (:data:`KERNEL_MODES`,
-selected per cache or via the ``REPRO_KERNEL`` environment variable):
-the default **batched** kernel refreshes all touched rows with whole-
-array sparse products (:meth:`DeltaCache.all_move_deltas` is its public
-full-scan form) and folds the timing constraints vectorised; the
-**scalar** kernel is the per-component reference
-(:meth:`DeltaCache.move_deltas`) the batched path is checked against.
-Solver trajectories are identical under either kernel.
+The refresh runs as whole-array operations: the touched delta rows are
+two sparse row-slice products (:meth:`DeltaCache.all_move_deltas` is the
+same arithmetic over every row), and the touched timing rows one
+vectorised fold over the constraint list.
 
 The same precomputed sparse views also back the Burkard iteration's
 STEP 3 vector: :meth:`eta` evaluates the per-component x per-partition
@@ -42,7 +38,6 @@ solvers and baselines build on it, never the other way around.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -55,48 +50,6 @@ from repro.core.problem import PartitioningProblem
 ETA_MODES = ("burkard", "diagonal", "symmetric")
 """How :meth:`DeltaCache.eta` treats the ``Q_hat`` diagonal (see
 :func:`repro.solvers.burkard.solve_qbp` for the semantics of each)."""
-
-KERNEL_MODES = ("batched", "scalar")
-"""Move-evaluation kernel implementations (see :func:`resolve_kernel`).
-
-* ``"batched"`` (default) — neighbour-row refreshes and timing-block
-  updates run as whole-array numpy/scipy operations: one sparse
-  row-slice product per direction for the wire term, one vectorised
-  fold over the constraint list for the timing term.
-* ``"scalar"`` — the per-component reference path: each touched row is
-  recomputed on its own (:meth:`DeltaCache.move_deltas` /
-  ``_timing_block_row``).  Solver results are identical either way
-  (the golden-equivalence replays run under both); the batched kernel
-  is simply faster, increasingly so as ``N`` grows
-  (``benchmarks/bench_scaling.py`` records the trajectory).
-"""
-
-KERNEL_ENV = "REPRO_KERNEL"
-"""Environment variable selecting the default kernel mode.
-
-Read when a :class:`DeltaCache` is built without an explicit
-``kernel=``; the env-crosses-fork channel keeps worker processes on the
-same kernel as the parent (the same pattern as ``REPRO_WORKERS``).
-"""
-
-
-def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """Normalise a kernel mode: explicit arg > ``REPRO_KERNEL`` env > batched.
-
-    Raises ``ValueError`` for anything outside :data:`KERNEL_MODES` so a
-    typo in the environment fails loudly at kernel construction, not as
-    a silent fall-back to the default.
-    """
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV, "").strip().lower() or "batched"
-    kernel = str(kernel).strip().lower()
-    if kernel not in KERNEL_MODES:
-        raise ValueError(
-            f"kernel must be one of {KERNEL_MODES}, got {kernel!r} "
-            f"(check the {KERNEL_ENV} environment variable)"
-        )
-    return kernel
-
 
 class DeltaStats:
     """Hot-path counters for one :class:`DeltaCache` instance.
@@ -175,10 +128,6 @@ class DeltaCache:
         An existing :class:`~repro.core.objective.ObjectiveEvaluator`
         for ``problem`` to share (its wire/constraint arrays are
         reused); ``None`` constructs one.
-    kernel:
-        Move-evaluation kernel mode, one of :data:`KERNEL_MODES`;
-        ``None`` resolves through :func:`resolve_kernel` (the
-        ``REPRO_KERNEL`` environment variable, default ``"batched"``).
     """
 
     def __init__(
@@ -187,10 +136,8 @@ class DeltaCache:
         assignment: Optional[Assignment] = None,
         *,
         evaluator: Optional[ObjectiveEvaluator] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         self.problem = problem
-        self.kernel = resolve_kernel(kernel)
         self.evaluator = evaluator if evaluator is not None else ObjectiveEvaluator(problem)
         self.timing_index = TimingIndex(problem.timing, problem.delay_matrix)
         self.n = problem.num_components
@@ -220,7 +167,7 @@ class DeltaCache:
         self.capacity: Optional[CapacityTracker] = None
         self.delta: Optional[np.ndarray] = None
         self.timing_block: Optional[np.ndarray] = None
-        # Batched-kernel views: row k holds B[part[k], :] / BT[part[k], :],
+        # Row views: row k holds B[part[k], :] / BT[part[k], :],
         # kept in sync by apply_move so row refreshes skip the (N, M)
         # gather a fresh B[part, :] would cost on every move.
         self._b_part: Optional[np.ndarray] = None
@@ -331,7 +278,7 @@ class DeltaCache:
         np.add.at(eta, movers, adjustment)
 
     # ------------------------------------------------------------------
-    # Batch move evaluation (the batched kernel's public surface)
+    # Full move evaluation
     # ------------------------------------------------------------------
     def all_move_deltas(self, part: Optional[np.ndarray] = None) -> np.ndarray:
         """The complete ``(N, M)`` move-delta matrix, one shot of array ops.
@@ -339,10 +286,7 @@ class DeltaCache:
         ``delta[j, i]`` is the exact objective change of moving ``j`` to
         ``i`` under assignment ``part`` (default: the tracked
         assignment).  Wire terms are two sparse matrix products, the
-        linear term one broadcast add — no per-component Python loop,
-        which is what makes the full candidate scan scale
-        (``benchmarks/bench_scaling.py`` measures this against the
-        per-component :meth:`move_deltas` reference).
+        linear term one broadcast add — no per-component Python loop.
         """
         if part is None:
             part = self.part
@@ -359,9 +303,8 @@ class DeltaCache:
     def move_deltas(self, j: int) -> np.ndarray:
         """Move deltas for one component against the current assignment.
 
-        The scalar reference implementation: the ``(M,)`` row the
-        batched :meth:`all_move_deltas` computes for ``j``, evaluated on
-        its own from the component's wire neighbourhood.
+        The ``(M,)`` row :meth:`all_move_deltas` computes for ``j``,
+        evaluated on its own from the component's wire neighbourhood.
         """
         part = self.part
         total = np.zeros(self.m)
@@ -376,58 +319,33 @@ class DeltaCache:
         return total - total[part[j]]
 
     def scan_move_deltas(self) -> np.ndarray:
-        """Evaluate every candidate move through the active kernel.
+        """Evaluate every candidate move under the tracked assignment.
 
-        The kernel-dispatched full candidate scan: ``"batched"`` is one
-        :meth:`all_move_deltas` call, ``"scalar"`` the per-component
-        reference loop.  Both return the same ``(N, M)`` matrix (up to
-        float summation order); the scaling benchmark times the two
-        against each other.
+        The full candidate scan: :meth:`all_move_deltas` of the tracked
+        assignment, recomputed rather than read from ``delta``.
         """
-        if self.kernel == "batched":
-            return self.all_move_deltas(self.part)
-        out = np.empty((self.n, self.m))
-        for j in range(self.n):
-            out[j, :] = self.move_deltas(j)
-        return out
+        return self.all_move_deltas(self.part)
 
     # ------------------------------------------------------------------
     # Full recomputation (construction / audit)
     # ------------------------------------------------------------------
     def _full_delta(self) -> np.ndarray:
-        """The complete ``(N, M)`` move-delta matrix (both kernel modes)."""
+        """The complete ``(N, M)`` move-delta matrix."""
         return self.all_move_deltas(self.part)
 
     def _full_timing_block(self) -> np.ndarray:
         """``(N, M)`` violated-constraint counts per candidate move."""
-        if self.kernel == "batched":
-            block = np.zeros((self.n, self.m), dtype=np.int32)
-            rows = np.asarray(
-                self.timing_index.constrained_components(), dtype=np.intp
-            )
-            if rows.size:
-                block[rows, :] = self._timing_rows_batched(rows)
-            return block
         block = np.zeros((self.n, self.m), dtype=np.int32)
-        for j in self.timing_index.constrained_components():
-            block[j, :] = self._timing_block_row(j)
+        rows = np.asarray(self.timing_index.constrained_components(), dtype=np.intp)
+        if rows.size:
+            block[rows, :] = self._timing_rows(rows)
         return block
 
-    def _timing_block_row(self, j: int) -> np.ndarray:
-        """Violation counts for moving ``j`` to each partition (scalar)."""
-        row = np.zeros(self.m, dtype=np.int32)
-        part, d = self.part, self.D
-        for k, budget in self.timing_index._out[j]:
-            row += d[:, part[k]] > budget
-        for k, budget in self.timing_index._in[j]:
-            row += d[part[k], :] > budget
-        return row
-
-    def _timing_rows_batched(self, rows: np.ndarray) -> np.ndarray:
+    def _timing_rows(self, rows: np.ndarray) -> np.ndarray:
         """Violation-count rows for ``rows``, vectorised over constraints.
 
-        Integer accumulation, so the result is exactly the scalar
-        :meth:`_timing_block_row` regardless of fold order.
+        Integer accumulation, so the counts are exact whatever the fold
+        order.
         """
         block = np.zeros((rows.size, self.m), dtype=np.int32)
         if self.t_src.size == 0:
@@ -448,38 +366,27 @@ class DeltaCache:
         return block
 
     def _refresh_rows(self, rows: Iterable[int]) -> None:
-        """Recompute the delta rows of ``rows`` through the active kernel.
+        """Recompute the delta rows of ``rows``.
 
-        The batched path evaluates all rows with two sparse row-slice
-        products against the maintained ``B[part, :]`` views — the same
-        arithmetic (and therefore the same floats) as a full
-        :meth:`all_move_deltas` rebuild restricted to those rows.  The
-        scalar path recomputes each row on its own.
+        Two sparse row-slice products against the maintained
+        ``B[part, :]`` views — the same arithmetic (and therefore the
+        same floats) as a full :meth:`all_move_deltas` rebuild
+        restricted to those rows.
         """
         idx = np.asarray(sorted(rows), dtype=np.intp)
-        if self.kernel == "batched":
-            part = self.part
-            in_term = np.asarray(self._AT[idx, :] @ self._b_part)
-            out_term = np.asarray(self._A[idx, :] @ self._bt_part)
-            total = self.beta * (in_term + out_term)
-            if self.P is not None and self.alpha:
-                total = total + self.alpha * self.P.T[idx, :]
-            current = total[np.arange(idx.size), part[idx]]
-            self.delta[idx, :] = total - current[:, None]
-            return
-        for k in idx:
-            self.delta[k, :] = self.move_deltas(int(k))
+        in_term = np.asarray(self._AT[idx, :] @ self._b_part)
+        out_term = np.asarray(self._A[idx, :] @ self._bt_part)
+        total = self.beta * (in_term + out_term)
+        if self.P is not None and self.alpha:
+            total = total + self.alpha * self.P.T[idx, :]
+        current = total[np.arange(idx.size), self.part[idx]]
+        self.delta[idx, :] = total - current[:, None]
 
     def _refresh_timing_rows(self, rows: Iterable[int]) -> None:
-        """Recompute the timing-block rows of ``rows`` (kernel-dispatched)."""
+        """Recompute the timing-block rows of ``rows``."""
         idx = np.asarray(sorted(rows), dtype=np.intp)
-        if idx.size == 0:
-            return
-        if self.kernel == "batched":
-            self.timing_block[idx, :] = self._timing_rows_batched(idx)
-            return
-        for k in idx:
-            self.timing_block[k, :] = self._timing_block_row(int(k))
+        if idx.size:
+            self.timing_block[idx, :] = self._timing_rows(idx)
 
     # ------------------------------------------------------------------
     # Queries
@@ -502,9 +409,8 @@ class DeltaCache:
     ) -> Optional[Tuple[int, int, float]]:
         """The feasible move with the smallest delta (largest gain).
 
-        The batched candidate-selection path: one masked argmin over the
-        maintained ``(N, M)`` delta matrix, never a per-component scan.
-        Returns ``(component, target_partition, delta)`` or ``None`` when
+        One masked argmin over the maintained ``(N, M)`` delta matrix,
+        never a per-component scan.  Returns ``(component, target_partition, delta)`` or ``None`` when
         no feasible move exists.  Deterministic tie-breaking by flattened
         index.
         """

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from typing import List
 
@@ -39,7 +38,6 @@ from repro.pipeline import UnknownSolverError, get_solver, solver_names
 from repro.eval.paper_data import PAPER_TABLE2, PAPER_TABLE3, QBP_ITERATIONS
 from repro.eval.tables import render_table1, render_table23
 from repro.eval.workloads import all_workloads, build_workload, workload_names
-from repro.engine.delta import KERNEL_ENV, KERNEL_MODES
 from repro.netlist.stats import circuit_stats
 from repro.obs.telemetry import add_telemetry_arguments, session_from_args
 from repro.parallel.retry import RetryPolicy
@@ -114,14 +112,6 @@ def main(argv: List[str] | None = None) -> int:
         "rows are bit-identical to a serial run with the same seed",
     )
     parser.add_argument(
-        "--kernel",
-        choices=list(KERNEL_MODES),
-        default=None,
-        help="move-evaluation kernel for every solver in the run (default: "
-        f"the {KERNEL_ENV} environment variable, else batched); results "
-        "are identical either way - scalar is the slow reference path",
-    )
-    parser.add_argument(
         "--retries",
         type=int,
         default=None,
@@ -176,10 +166,6 @@ def main(argv: List[str] | None = None) -> int:
         retry = RetryPolicy(max_attempts=args.retries)
     if args.task_timeout is not None and args.task_timeout <= 0:
         parser.error("--task-timeout must be positive")
-    if args.kernel is not None:
-        # Via the environment (like REPRO_WORKERS) so it crosses fork
-        # into worker processes.
-        os.environ[KERNEL_ENV] = args.kernel
     # SIGINT/SIGTERM drain cooperatively instead of killing the sweep:
     # every completed row is already checkpointed, so a drained run
     # resumes bit-identically with the same --checkpoint-dir.

@@ -36,6 +36,15 @@ from repro.utils.rng import derive_seed
 CAPACITY_SLACK = 0.10
 """Per-partition capacity headroom over perfectly balanced load ("very tight")."""
 
+CAPACITY_GROWTH = 1.01
+"""Factor the slot capacity grows by while :func:`cluster_reference` fails.
+
+Small scaled instances can draw more blocks above half a slot than there
+are slots, so no packing exists at the balanced capacity.  Growing in 1%
+steps keeps such an instance as tight as its blocks allow; an instance
+that places at the first capacity keeps that capacity.
+"""
+
 TIGHTNESS = 0.5
 """Fraction of timing budgets exactly tight at the reference assignment.
 
@@ -141,9 +150,12 @@ def build_workload(
     # Small scaled instances can have a single component larger than the
     # balanced share; every slot must at least fit the largest block.
     capacity = max(capacity, float(circuit.sizes().max()) * (1.0 + capacity_slack))
-    topology = grid_topology(4, 4, capacity=capacity, name=f"{name}-grid4x4")
-
-    reference = cluster_reference(circuit, topology)
+    while True:
+        topology = grid_topology(4, 4, capacity=capacity, name=f"{name}-grid4x4")
+        reference = cluster_reference(circuit, topology)
+        if reference is not None:
+            break
+        capacity *= CAPACITY_GROWTH
     timing = synthesize_feasible_constraints(
         circuit,
         topology.delay_matrix,
@@ -180,7 +192,7 @@ def all_workloads(**kwargs) -> Dict[str, Workload]:
     return {name: build_workload(name, **kwargs) for name in CIRCUIT_NAMES}
 
 
-def cluster_reference(circuit: Circuit, topology: Topology) -> Assignment:
+def cluster_reference(circuit: Circuit, topology: Topology) -> Optional[Assignment]:
     """A capacity-feasible, cluster-contiguous placement.
 
     Mimics what a designer's initial assignment looks like: whole
@@ -188,7 +200,8 @@ def cluster_reference(circuit: Circuit, topology: Topology) -> Assignment:
     the topology's delay metric) when full.  Used as the hidden witness
     behind the synthesised timing budgets, so the budgets encode
     "critical pairs sit on nearby chips" exactly as cycle-time-derived
-    budgets would.
+    budgets would.  Returns ``None`` when some component fits in no
+    slot's remaining capacity.
     """
     sizes = circuit.sizes()
     clusters = np.array(
@@ -228,8 +241,5 @@ def cluster_reference(circuit: Circuit, topology: Topology) -> Assignment:
                 placed = True
                 break
         if not placed:
-            raise RuntimeError(
-                "cluster_reference could not place a component; "
-                "capacity slack too small"
-            )
+            return None
     return Assignment(part, m)

@@ -16,7 +16,7 @@ exception types are absorbed - programming errors propagate immediately.
 
 Used by:
 
-* ``repro.solvers.burkard._solve_gap_graceful`` - inner GAP ladder,
+* ``repro.solvers.qbp.iteration._solve_gap_graceful`` - inner GAP ladder,
 * ``repro.solvers.burkard.bootstrap_initial_solution`` - bootstrap
   attempts,
 * ``repro.eval.harness.shared_initial_solution`` - bootstrap with the

@@ -77,13 +77,6 @@ repair_moves:
     Move budget for the targeted min-conflicts repair of promising
     iterates (those whose raw cost beats the feasible incumbent);
     the cheap merge projection has no budget to tune.
-callback:
-    Called as ``callback(k, assignment, penalized_cost)`` after each
-    iteration (for progress reporting / live ablation traces).  A
-    raising callback is demoted to a single logged warning and then
-    disabled - it never destroys the run or its incumbent.  New code
-    should prefer the typed event stream (``telemetry``), which the
-    callback hook is now an adapter over.
 budget:
     Optional :class:`repro.runtime.budget.Budget`.  Checked at the
     top of every iteration and inside the inner GAP solves; on
@@ -104,7 +97,10 @@ telemetry:
     ``qbp.solve`` span, every iteration emits an
     :class:`~repro.obs.events.IterationEvent` and bumps the
     ``solver.iterations`` counter, and the inner GAP ladder reports
-    fallbacks.  Telemetry never alters the computation.
+    fallbacks.  Telemetry never alters the computation; a sink that
+    reacts to the ``IterationEvent`` stream (progress, live traces,
+    ``budget.cancel()``) sees each iteration before its checkpoint
+    save.
 """
 
 from __future__ import annotations
@@ -120,31 +116,13 @@ from repro.solvers.qbp.formulation import (
     resolve_penalty,
     validated_initial,
 )
-from repro.solvers.qbp.iteration import (
-    BurkardResult,
-    CallbackGuard,
-    _solve_gap_graceful,
-    solve_qbp,
-)
-from repro.solvers.qbp.multistart import (
-    _SERIAL_ONLY_KWARGS,
-    MultistartError,
-    _multistart_restart_task,
-    solve_qbp_multistart,
-)
-
-# Pre-decomposition private names, kept importable for existing tests,
-# benchmarks, and downstream users.
-_CallbackGuard = CallbackGuard
-_IterationState = IterationState
-_is_fully_feasible = is_fully_feasible
-_validated_initial = validated_initial
+from repro.solvers.qbp.iteration import BurkardResult, solve_qbp
+from repro.solvers.qbp.multistart import MultistartError, solve_qbp_multistart
 
 __all__ = [
     "ANCHOR_MODES",
     "BootstrapStallError",
     "BurkardResult",
-    "CallbackGuard",
     "DEFAULT_GAP_CRITERIA",
     "ETA_MODES",
     "IterationState",

@@ -25,14 +25,13 @@ from repro.solvers.qbp.formulation import (
     resolve_penalty,
     validated_initial,
 )
-from repro.solvers.qbp.iteration import BurkardResult, CallbackGuard, solve_qbp
+from repro.solvers.qbp.iteration import BurkardResult, solve_qbp
 from repro.solvers.qbp.multistart import MultistartError, solve_qbp_multistart
 
 __all__ = [
     "ANCHOR_MODES",
     "BootstrapStallError",
     "BurkardResult",
-    "CallbackGuard",
     "DEFAULT_GAP_CRITERIA",
     "ETA_MODES",
     "IterationState",

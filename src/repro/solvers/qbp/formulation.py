@@ -8,8 +8,6 @@ kernel instead of a private sparse implementation.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.core.assignment import Assignment
@@ -78,12 +76,11 @@ class IterationState:
         evaluator: ObjectiveEvaluator,
         penalty: float,
         eta_mode: str,
-        kernel: Optional[str] = None,
     ) -> None:
         self.problem = problem
         self.penalty = penalty
         self.eta_mode = eta_mode
-        self.kernel = DeltaCache(problem, evaluator=evaluator, kernel=kernel)
+        self.kernel = DeltaCache(problem, evaluator=evaluator)
         self.alpha, self.beta = problem.alpha, problem.beta
         self.B = self.kernel.B
         self.BT = self.kernel.BT

@@ -1,10 +1,10 @@
 """The generalized Burkard iteration (paper Section 4.2, STEP 1-8).
 
 This module owns :func:`solve_qbp` — the single-solve entry point — and
-its supporting pieces: the supervised inner-GAP ladder and the guarded
-progress callback.  The formulation-side machinery (penalty, omega,
-eta) lives in :mod:`repro.solvers.qbp.formulation`; multistart and the
-zero-``B`` bootstrap in their sibling modules.
+the supervised inner-GAP ladder it runs.  The formulation-side
+machinery (penalty, omega, eta) lives in
+:mod:`repro.solvers.qbp.formulation`; multistart and the zero-``B``
+bootstrap in their sibling modules.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -46,37 +46,6 @@ from repro.solvers.repair import feasible_merge
 from repro.utils.rng import RandomSource
 
 logger = logging.getLogger(__name__)
-
-
-class CallbackGuard:
-    """Wraps a user progress callback so one failure disables it.
-
-    The first exception is logged (``logger.warning(..., exc_info=True)``)
-    exactly once and every later invocation is skipped - including across
-    the restarts of :func:`repro.solvers.qbp.multistart.solve_qbp_multistart`,
-    which shares one guard, so a persistently raising callback cannot
-    flood the log.
-    """
-
-    __slots__ = ("fn", "failed")
-
-    def __init__(self, fn: Callable[[int, Assignment, float], None]) -> None:
-        self.fn = fn
-        self.failed = False
-
-    def __call__(self, k: int, assignment: Assignment, pen: float) -> None:
-        if self.failed:
-            return
-        try:
-            self.fn(k, assignment, pen)
-        except Exception:
-            self.failed = True
-            logger.warning(
-                "solve_qbp: progress callback raised at iteration %d; "
-                "disabling it for the remainder of the run",
-                k,
-                exc_info=True,
-            )
 
 
 @dataclass
@@ -123,12 +92,10 @@ def solve_qbp(
     repair_moves: int = 3000,
     project_trajectory: bool = False,
     anchor_mode: str = "trajectory",
-    callback: Optional[Callable[[int, Assignment, float], None]] = None,
     budget: Optional[Budget] = None,
     checkpointer: Optional[QbpCheckpointer] = None,
     resume: Optional[QbpCheckpoint] = None,
     telemetry: Optional[Telemetry] = None,
-    kernel: Optional[str] = None,
 ) -> BurkardResult:
     """Run the generalized Burkard heuristic on ``problem``.
 
@@ -150,14 +117,12 @@ def solve_qbp(
         checkpointer=checkpointer,
     )
     tel = ctx.telemetry
-    if callback is not None and not isinstance(callback, CallbackGuard):
-        callback = CallbackGuard(callback)
 
     start_time = time.perf_counter()
     rng = ctx.rng
     evaluator = ctx.evaluator
     pen_value = resolve_penalty(problem, penalty)
-    state = IterationState(problem, evaluator, pen_value, eta_mode, kernel=kernel)
+    state = IterationState(problem, evaluator, pen_value, eta_mode)
 
     n, m = problem.num_components, problem.num_partitions
     sizes = problem.sizes()
@@ -242,7 +207,6 @@ def solve_qbp(
         "qbp.solve",
         iterations=effective_iterations,
         eta_mode=eta_mode,
-        kernel=state.kernel.kernel,
         components=n,
         partitions=m,
         resumed=resume is not None,
@@ -400,8 +364,6 @@ def solve_qbp(
                         improved=bool(improvements and improvements[-1] == k),
                     )
                 )
-            if callback is not None:
-                callback(k, Assignment(part, m), pen)
             if checkpointer is not None and (
                 checkpointer.due(k) or k == effective_iterations
             ):
@@ -488,4 +450,4 @@ def _solve_gap_graceful(
         return None
 
 
-__all__ = ["BurkardResult", "CallbackGuard", "solve_qbp"]
+__all__ = ["BurkardResult", "solve_qbp"]

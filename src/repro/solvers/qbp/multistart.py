@@ -25,7 +25,7 @@ from repro.parallel.retry import IntegrityError, RetryPolicy
 from repro.parallel.seeds import multistart_seeds
 from repro.runtime.budget import Budget
 from repro.runtime.faults import maybe_fault_task
-from repro.solvers.qbp.iteration import BurkardResult, CallbackGuard, logger, solve_qbp
+from repro.solvers.qbp.iteration import BurkardResult, logger, solve_qbp
 from repro.utils.rng import RandomSource
 
 
@@ -141,10 +141,9 @@ def _multistart_restart_task(payload, ctx):
     return _maybe_corrupt_result(result, ctx.worker_id, ctx.attempt)
 
 
-_SERIAL_ONLY_KWARGS = ("callback", "checkpointer", "resume")
-"""``solve_qbp`` kwargs that force the serial multistart path: callbacks
-fire in the caller's process by contract, and checkpoint/resume state is
-a single file owned by one writer."""
+_SERIAL_ONLY_KWARGS = ("checkpointer", "resume")
+"""``solve_qbp`` kwargs that force the serial multistart path:
+checkpoint/resume state is a single file owned by one writer."""
 
 
 def solve_qbp_multistart(
@@ -180,8 +179,8 @@ def solve_qbp_multistart(
     assignment the serial loop would pick: same per-restart seeds, same
     ``(best_feasible_cost, penalized_cost)`` comparison, ties broken by
     lowest restart index in both paths.  Restarts needing in-process
-    state (``callback``, ``checkpointer``, ``resume``) run serially
-    regardless of ``workers``.
+    state (``checkpointer``, ``resume``) run serially regardless of
+    ``workers``.
 
     A shared ``budget`` bounds the whole multi-start: serial restarts
     stop when it runs out (the first restart always runs - it bails out
@@ -214,12 +213,6 @@ def solve_qbp_multistart(
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     tel = resolve_telemetry(telemetry)
-    if kwargs.get("callback") is not None and not isinstance(
-        kwargs["callback"], CallbackGuard
-    ):
-        # One guard shared by every restart: a callback that raises is
-        # warned about (and disabled) exactly once for the whole run.
-        kwargs["callback"] = CallbackGuard(kwargs["callback"])
     seeds = multistart_seeds(seed, restarts)
     pool = WorkerPool(
         workers=workers,
@@ -373,6 +366,4 @@ __all__ = [
     "MultistartError",
     "multistart_verifier",
     "solve_qbp_multistart",
-    "_SERIAL_ONLY_KWARGS",
-    "_multistart_restart_task",
 ]

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Dict, List
@@ -38,7 +37,6 @@ from repro.analysis.report import analyze_solution, render_report
 from repro.core.constraints import check_feasibility
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.problem import PartitioningProblem
-from repro.engine.delta import KERNEL_ENV, KERNEL_MODES
 from repro.obs.telemetry import add_telemetry_arguments, session_from_args
 from repro.pipeline import (
     InitialSolutionError,
@@ -138,12 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the REPRO_WORKERS environment variable, else 1); the selected "
         "solution is bit-identical to a serial run with the same seed",
     )
-    parser.add_argument(
-        "--kernel", choices=list(KERNEL_MODES), default=None,
-        help="move-evaluation kernel (default: the "
-        f"{KERNEL_ENV} environment variable, else batched); results are "
-        "identical either way - scalar is the slow reference path",
-    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--budget", type=float, default=None, metavar="SECONDS",
@@ -193,10 +185,6 @@ def solver_config_overrides(args, spec) -> Dict[str, object]:
 
 def main(argv: List[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.kernel is not None:
-        # Via the environment (like REPRO_WORKERS) so it crosses fork
-        # into restart workers.
-        os.environ[KERNEL_ENV] = args.kernel
     with session_from_args(args, root_span="partition"):
         return _run(args)
 

@@ -1,12 +1,12 @@
-"""Tests for repro.baselines.engine (GainEngine incremental state)."""
+"""DeltaCache incremental state, as the GFM/GKL baselines drive it."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.engine import GainEngine
 from repro.core.assignment import Assignment
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.problem import PartitioningProblem
+from repro.engine.delta import DeltaCache
 from repro.netlist.generate import ClusteredCircuitSpec, generate_clustered_circuit
 from repro.solvers.greedy import greedy_feasible_assignment
 from repro.timing.constraints import synthesize_feasible_constraints
@@ -30,7 +30,7 @@ def timed_problem():
 class TestInitialState:
     def test_delta_matches_evaluator(self, timed_problem):
         problem, start = timed_problem
-        engine = GainEngine(problem, start)
+        engine = DeltaCache(problem, start)
         evaluator = ObjectiveEvaluator(problem)
         for j in range(problem.num_components):
             for i in range(problem.num_partitions):
@@ -40,7 +40,7 @@ class TestInitialState:
 
     def test_timing_block_counts(self, timed_problem):
         problem, start = timed_problem
-        engine = GainEngine(problem, start)
+        engine = DeltaCache(problem, start)
         # Row-by-row must agree with the exact TimingIndex answer.
         for j in range(problem.num_components):
             for i in range(problem.num_partitions):
@@ -50,13 +50,13 @@ class TestInitialState:
 
     def test_audit_passes(self, timed_problem):
         problem, start = timed_problem
-        GainEngine(problem, start).audit()
+        DeltaCache(problem, start).audit()
 
 
 class TestIncrementalUpdates:
     def test_moves_keep_state_consistent(self, timed_problem):
         problem, start = timed_problem
-        engine = GainEngine(problem, start)
+        engine = DeltaCache(problem, start)
         rng = np.random.default_rng(0)
         for _ in range(60):
             j = int(rng.integers(0, problem.num_components))
@@ -66,7 +66,7 @@ class TestIncrementalUpdates:
 
     def test_swaps_keep_state_consistent(self, timed_problem):
         problem, start = timed_problem
-        engine = GainEngine(problem, start)
+        engine = DeltaCache(problem, start)
         rng = np.random.default_rng(1)
         for _ in range(30):
             j1, j2 = rng.choice(problem.num_components, size=2, replace=False)
@@ -75,7 +75,7 @@ class TestIncrementalUpdates:
 
     def test_move_returns_exact_delta(self, timed_problem):
         problem, start = timed_problem
-        engine = GainEngine(problem, start)
+        engine = DeltaCache(problem, start)
         evaluator = ObjectiveEvaluator(problem)
         before = engine.current_cost()
         delta = engine.apply_move(3, (start[3] + 1) % 4)
@@ -83,7 +83,7 @@ class TestIncrementalUpdates:
 
     def test_swap_returns_exact_delta(self, timed_problem):
         problem, start = timed_problem
-        engine = GainEngine(problem, start)
+        engine = DeltaCache(problem, start)
         before = engine.current_cost()
         delta = engine.apply_swap(0, 7)
         assert engine.current_cost() == pytest.approx(before + delta)
@@ -92,7 +92,7 @@ class TestIncrementalUpdates:
 class TestQueries:
     def test_best_move_is_feasible_and_minimal(self, timed_problem):
         problem, start = timed_problem
-        engine = GainEngine(problem, start)
+        engine = DeltaCache(problem, start)
         move = engine.best_move()
         assert move is not None
         j, i, delta = move
@@ -103,13 +103,13 @@ class TestQueries:
 
     def test_locked_components_excluded(self, timed_problem):
         problem, start = timed_problem
-        engine = GainEngine(problem, start)
+        engine = DeltaCache(problem, start)
         locked = np.ones(problem.num_components, dtype=bool)
         assert engine.best_move(locked) is None
 
     def test_swap_delta_matrix_exact(self, timed_problem):
         problem, start = timed_problem
-        engine = GainEngine(problem, start)
+        engine = DeltaCache(problem, start)
         evaluator = ObjectiveEvaluator(problem)
         swap = engine.swap_delta_matrix()
         rng = np.random.default_rng(2)
@@ -121,7 +121,7 @@ class TestQueries:
 
     def test_swap_capacity_mask(self, timed_problem):
         problem, start = timed_problem
-        engine = GainEngine(problem, start)
+        engine = DeltaCache(problem, start)
         mask = engine.swap_capacity_mask()
         sizes = problem.sizes()
         caps = problem.capacities()
@@ -141,7 +141,7 @@ class TestQueries:
 
     def test_exact_swap_feasible_consistent(self, timed_problem):
         problem, start = timed_problem
-        engine = GainEngine(problem, start)
+        engine = DeltaCache(problem, start)
         approx = engine.swap_capacity_mask() & engine.swap_timing_mask()
         rng = np.random.default_rng(4)
         mismatches = 0

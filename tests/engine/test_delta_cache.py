@@ -1,9 +1,8 @@
-"""Tests for repro.engine.delta (DeltaCache kernel modes and back-compat)."""
+"""Tests for repro.engine.delta (DeltaCache stateless and stateful modes)."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.engine import GainEngine
 from repro.core.assignment import Assignment
 from repro.core.problem import PartitioningProblem
 from repro.engine.delta import DeltaCache, ETA_MODES
@@ -83,28 +82,6 @@ class TestStatefulState:
         first = cache.best_move()
         second = cache.best_move()
         assert first == second
-
-
-class TestGainEngineAlias:
-    def test_is_delta_cache_subclass(self):
-        assert issubclass(GainEngine, DeltaCache)
-
-    def test_eager_constructor_contract(self):
-        engine = GainEngine(small_problem(), Assignment([0, 0, 1, 1, 2, 2], 3))
-        assert engine.delta is not None
-        assert engine.timing_block is not None
-        engine.audit()
-
-    def test_matches_delta_cache_bitwise(self):
-        problem = small_problem(with_timing=True)
-        start = Assignment([0, 0, 1, 1, 2, 2], 3)
-        a = GainEngine(problem, start)
-        b = DeltaCache(problem, start)
-        assert np.array_equal(a.delta, b.delta)
-        assert np.array_equal(a.timing_block, b.timing_block)
-        assert np.array_equal(a.loads, b.loads)
-        assert a.apply_move(2, 0) == b.apply_move(2, 0)
-        assert np.array_equal(a.delta, b.delta)
 
 
 class TestValidation:

@@ -1,4 +1,4 @@
-"""The move-evaluation kernel switch (REPRO_KERNEL batched|scalar)."""
+"""The move kernel against the per-row oracle after every move of a replay."""
 
 from __future__ import annotations
 
@@ -6,25 +6,23 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import Assignment
+from repro.core.objective import ObjectiveEvaluator
 from repro.core.problem import PartitioningProblem
-from repro.engine.delta import (
-    KERNEL_ENV,
-    KERNEL_MODES,
-    DeltaCache,
-    resolve_kernel,
-)
+from repro.engine.delta import DeltaCache
 from repro.netlist.circuit import Circuit
 from repro.timing.constraints import TimingConstraints
 from repro.topology.grid import grid_topology
 
+from tests.engine import oracle
 
-def small_problem(with_timing=True):
+
+def small_problem(with_timing=True, capacity=6.0):
     circuit = Circuit("kernel-test")
     for j in range(6):
         circuit.add_component(f"u{j}", size=1.0)
     for j1, j2, w in [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 3.0), (3, 4, 1.0), (4, 5, 2.0), (0, 5, 1.0)]:
         circuit.add_wire(j1, j2, w)
-    topo = grid_topology(1, 3, capacity=6.0)
+    topo = grid_topology(1, 3, capacity=capacity)
     timing = None
     if with_timing:
         timing = TimingConstraints(6)
@@ -38,105 +36,53 @@ def initial(problem):
     return Assignment(part, problem.num_partitions)
 
 
-class TestResolveKernel:
-    def test_explicit_values(self):
-        assert resolve_kernel("batched") == "batched"
-        assert resolve_kernel("scalar") == "scalar"
-
-    def test_normalises_case_and_whitespace(self):
-        assert resolve_kernel("  Batched ") == "batched"
-        assert resolve_kernel("SCALAR") == "scalar"
-
-    def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert resolve_kernel() == "batched"
-
-    def test_env_var_is_read(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "scalar")
-        assert resolve_kernel() == "scalar"
-
-    def test_empty_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "")
-        assert resolve_kernel() == "batched"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "scalar")
-        assert resolve_kernel("batched") == "batched"
-
-    def test_invalid_value_names_the_env_var(self):
-        with pytest.raises(ValueError, match=KERNEL_ENV):
-            resolve_kernel("vectorised")
-
-    def test_invalid_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "gpu")
-        with pytest.raises(ValueError, match="gpu"):
-            resolve_kernel()
+# Loose capacity (every move fits), no timing, and a capacity of three
+# unit blocks per slot, so the capacity mask decides some best moves.
+PROBLEMS = pytest.mark.parametrize(
+    "with_timing,capacity", [(True, 6.0), (False, 6.0), (True, 3.0)]
+)
 
 
-class TestDeltaCacheKernel:
-    def test_cache_records_resolved_mode(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        problem = small_problem()
-        assert DeltaCache(problem, initial(problem)).kernel == "batched"
-        assert (
-            DeltaCache(problem, initial(problem), kernel="scalar").kernel
-            == "scalar"
-        )
+class TestAgainstOracle:
+    @PROBLEMS
+    def test_scan_is_all_move_deltas_of_tracked_assignment(self, with_timing, capacity):
+        problem = small_problem(with_timing, capacity)
+        cache = DeltaCache(problem, initial(problem))
+        scan = cache.scan_move_deltas()
+        assert np.array_equal(scan, cache.all_move_deltas())
+        assert np.allclose(scan, oracle.move_delta_rows(cache), rtol=0.0, atol=oracle.TOL)
 
-    def test_cache_reads_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "scalar")
-        problem = small_problem()
-        assert DeltaCache(problem, initial(problem)).kernel == "scalar"
-
-    def test_scan_dispatch_matches_across_kernels(self):
-        problem = small_problem()
-        caches = {
-            k: DeltaCache(problem, initial(problem), kernel=k)
-            for k in KERNEL_MODES
-        }
-        scans = {k: c.scan_move_deltas() for k, c in caches.items()}
-        assert np.allclose(scans["batched"], scans["scalar"], atol=1e-8)
-        assert np.allclose(scans["batched"], caches["batched"].delta, atol=1e-8)
-
-    def test_replay_keeps_state_and_stats_identical(self):
-        problem = small_problem()
-        caches = {
-            k: DeltaCache(problem, initial(problem), kernel=k)
-            for k in KERNEL_MODES
-        }
+    @PROBLEMS
+    def test_replay_matches_oracle_after_every_move(self, with_timing, capacity):
+        problem = small_problem(with_timing, capacity)
+        evaluator = ObjectiveEvaluator(problem)
+        cache = DeltaCache(problem, initial(problem))
+        oracle.assert_matches_oracle(cache)
         rng = np.random.default_rng(7)
-        for _ in range(12):
-            j = int(rng.integers(0, problem.num_components))
-            i = int(rng.integers(0, problem.num_partitions))
-            deltas = {k: c.apply_move(j, i) for k, c in caches.items()}
-            assert abs(deltas["batched"] - deltas["scalar"]) < 1e-8
-        b, s = caches["batched"], caches["scalar"]
-        assert np.allclose(b.delta, s.delta, atol=1e-8)
-        assert np.array_equal(b.timing_block, s.timing_block)
-        assert np.array_equal(b.part, s.part)
-        assert np.allclose(b.loads, s.loads)
-        # Counter accounting is mode-independent: the bench gate relies
-        # on delta.* counters not changing with the kernel switch.
-        assert b.stats.as_dict() == s.stats.as_dict()
-        b.audit()
-        s.audit()
+        for step in range(16):
+            before = evaluator.cost(cache.part)
+            if step % 4 == 3:
+                j1, j2 = rng.choice(problem.num_components, 2, replace=False)
+                reported = cache.apply_swap(int(j1), int(j2))
+            else:
+                j = int(rng.integers(0, problem.num_components))
+                i = int(rng.integers(0, problem.num_partitions))
+                reported = cache.apply_move(j, i)
+            assert abs(reported - (evaluator.cost(cache.part) - before)) <= oracle.TOL
+            oracle.assert_matches_oracle(cache)
+        cache.audit()
 
-    def test_best_move_identical_across_kernels(self):
-        problem = small_problem()
-        caches = {
-            k: DeltaCache(problem, initial(problem), kernel=k)
-            for k in KERNEL_MODES
-        }
+    @PROBLEMS
+    def test_best_move_follows_oracle_through_a_pass(self, with_timing, capacity):
+        problem = small_problem(with_timing, capacity)
+        cache = DeltaCache(problem, initial(problem))
         locked = np.zeros(problem.num_components, dtype=bool)
-        for _ in range(3):
-            moves = {k: c.best_move(locked) for k, c in caches.items()}
-            assert (moves["batched"] is None) == (moves["scalar"] is None)
-            if moves["batched"] is None:
+        while True:
+            oracle.assert_matches_oracle(cache, locked)
+            move = cache.best_move(locked)
+            if move is None:
                 break
-            jb, ib, db = moves["batched"]
-            js, is_, ds = moves["scalar"]
-            assert (jb, ib) == (js, is_)
-            assert abs(db - ds) < 1e-8
-            for cache in caches.values():
-                cache.apply_move(jb, ib)
-            locked[jb] = True
+            j, i, _ = move
+            cache.apply_move(j, i)
+            locked[j] = True
+        assert locked.any()

@@ -6,6 +6,7 @@ import pytest
 from repro.core.constraints import check_feasibility
 from repro.eval.paper_data import PAPER_TABLE1, NUM_PARTITIONS
 from repro.eval.workloads import (
+    CAPACITY_SLACK,
     build_workload,
     cluster_reference,
     workload_names,
@@ -103,3 +104,36 @@ class TestClusterReference:
             spreads.append(delay[positions[:, None], positions[None, :]].max())
         # Cluster-contiguous placement: most clusters fit in a small ball.
         assert np.median(spreads) <= 3.0
+
+
+class TestCapacityGrowth:
+    """Capacity grows only where no reference packing exists."""
+
+    @pytest.mark.parametrize("seed", [6, 263])
+    def test_seeds_without_a_balanced_packing_build(self, seed):
+        # At these seeds cktc draws more blocks above half the balanced
+        # capacity than there are slots.
+        for name in workload_names():
+            workload = build_workload(name, scale=0.1, seed=seed)
+            assert check_feasibility(workload.problem, workload.reference).feasible
+        cktc = build_workload("cktc", scale=0.1, seed=seed)
+        balanced = cktc.circuit.total_size() * (1 + CAPACITY_SLACK) / NUM_PARTITIONS
+        assert cktc.topology.capacities()[0] > balanced
+
+    @pytest.mark.parametrize(
+        "scale,expected",
+        [
+            (1.0, {"ckta": 526.201165993531, "cktb": 493.36156785571706,
+                   "cktc": 744.5541352289399, "cktd": 806.7817488806896,
+                   "ckte": 508.8705381774158, "cktf": 927.8725648059408,
+                   "cktg": 679.4628460401909}),
+            (0.1, {"ckta": 100.7813897624549, "cktb": 104.93910213607013,
+                   "cktc": 92.79994313681347, "cktd": 101.86297875820027,
+                   "ckte": 85.78963420334199, "cktf": 102.03749860106268,
+                   "cktg": 101.44875784183515}),
+        ],
+    )
+    def test_default_seed_capacities_unchanged(self, scale, expected):
+        for name, capacity in expected.items():
+            topology = build_workload(name, scale=scale).topology
+            assert np.all(topology.capacities() == capacity), name

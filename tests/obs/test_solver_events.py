@@ -4,8 +4,6 @@ These pin the *deterministic* parts of the event stream: ordering,
 counts, and the agreement between events and the metrics registry.
 """
 
-import logging
-
 import pytest
 
 from repro.baselines.gfm import gfm_partition
@@ -83,18 +81,6 @@ class TestMultistartEvents:
         )
         bests = [e.best_cost for e in tel.events() if e.kind == "restart"]
         assert bests == sorted(bests, reverse=True)
-
-    def test_raising_callback_warns_exactly_once(self, small_problem, caplog):
-        def bad_callback(iteration, assignment, cost):
-            raise RuntimeError("telemetry test callback")
-
-        with caplog.at_level(logging.WARNING, logger="repro.solvers.burkard"):
-            solve_qbp_multistart(
-                small_problem, restarts=3, iterations=4, seed=0,
-                callback=bad_callback,
-            )
-        warnings = [r for r in caplog.records if "callback raised" in r.message]
-        assert len(warnings) == 1
 
 
 class TestBaselineEvents:

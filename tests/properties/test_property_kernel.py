@@ -1,17 +1,19 @@
-"""Property-based tests: batched and scalar kernels agree (hypothesis).
+"""Property-based tests: the move kernel equals the per-row oracle (hypothesis).
 
-Satellite of the batched move-evaluation layer: on random problems —
-with and without timing constraints, with and without a linear cost
-term, across capacity regimes —
+On random problems — with and without timing constraints, with and
+without a linear cost term —
 
 * ``DeltaCache.all_move_deltas()`` matches the per-component
-  ``move_deltas(j)`` reference element-wise,
-* ``scan_move_deltas()`` returns the same matrix under both kernels,
-* a random ``apply_move`` replay leaves batched and scalar caches with
-  identical maintained state (delta, timing block, loads, assignment)
-  and **identical** ``delta.*`` stats counters (the bench gate depends
-  on counter accounting being kernel-independent),
-* both kernels pass the ground-truth ``audit()`` afterwards.
+  ``move_deltas(j)`` loop element-wise, for the tracked assignment and
+  for a hypothetical one,
+* ``scan_move_deltas()`` is ``all_move_deltas()`` of the tracked
+  assignment,
+* after every ``apply_move`` / ``apply_swap`` of a random replay the
+  maintained ``delta`` matches the oracle (``tests/engine/oracle.py``)
+  within 1e-8, ``timing_block`` equals its per-constraint count
+  exactly, and ``best_move`` picks its flat argmin,
+* ``reset()`` to a fresh assignment leaves the cache matching the
+  oracle.
 """
 
 import numpy as np
@@ -19,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assignment import Assignment
-from repro.engine.delta import KERNEL_MODES, DeltaCache
+from repro.engine.delta import DeltaCache
 
+from tests.engine import oracle
 from tests.properties.test_property_delta import problems, random_assignment
 
 
@@ -28,14 +31,14 @@ class TestAllMoveDeltasMatchesScalarReference:
     @settings(max_examples=40, deadline=None)
     @given(problems(), st.integers(0, 2**31))
     def test_elementwise_against_move_deltas(self, problem, seed):
-        """Every row of the batched matrix equals the scalar row."""
+        """Every row of the full matrix equals the per-component row."""
         rng = np.random.default_rng(seed)
         a = random_assignment(problem, rng)
         cache = DeltaCache(problem, a)
-        batched = cache.all_move_deltas()
-        assert batched.shape == (problem.num_components, problem.num_partitions)
+        full = cache.all_move_deltas()
+        assert full.shape == (problem.num_components, problem.num_partitions)
         for j in range(problem.num_components):
-            assert np.allclose(batched[j], cache.move_deltas(j), atol=1e-8)
+            assert np.allclose(full[j], cache.move_deltas(j), rtol=0.0, atol=oracle.TOL)
 
     @settings(max_examples=40, deadline=None)
     @given(problems(), st.integers(0, 2**31))
@@ -47,65 +50,45 @@ class TestAllMoveDeltasMatchesScalarReference:
         cache = DeltaCache(problem, a)
         hypothetical = cache.all_move_deltas(other.part)
         reference = DeltaCache(problem, other)
-        assert np.allclose(hypothetical, reference.delta, atol=1e-8)
+        assert np.allclose(
+            hypothetical, oracle.move_delta_rows(reference), rtol=0.0, atol=oracle.TOL
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(problems(), st.integers(0, 2**31))
-    def test_scan_agrees_across_kernels(self, problem, seed):
+    def test_scan_is_all_move_deltas(self, problem, seed):
         rng = np.random.default_rng(seed)
-        a = random_assignment(problem, rng)
-        scans = {
-            kernel: DeltaCache(problem, a, kernel=kernel).scan_move_deltas()
-            for kernel in KERNEL_MODES
-        }
-        assert np.allclose(scans["batched"], scans["scalar"], atol=1e-8)
+        cache = DeltaCache(problem, random_assignment(problem, rng))
+        assert np.array_equal(cache.scan_move_deltas(), cache.all_move_deltas())
 
 
 class TestReplayEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(problems(), st.integers(0, 2**31), st.data())
-    def test_random_replay_keeps_kernels_identical(self, problem, seed, data):
+    def test_random_replay_matches_oracle_after_every_move(self, problem, seed, data):
         rng = np.random.default_rng(seed)
-        a = random_assignment(problem, rng)
-        caches = {k: DeltaCache(problem, a, kernel=k) for k in KERNEL_MODES}
-        moves = data.draw(st.integers(1, 8))
-        for _ in range(moves):
+        cache = DeltaCache(problem, random_assignment(problem, rng))
+        oracle.assert_matches_oracle(cache)
+        for _ in range(data.draw(st.integers(1, 8))):
             if rng.random() < 0.25 and problem.num_components >= 2:
                 j1, j2 = rng.choice(problem.num_components, 2, replace=False)
-                reported = {
-                    k: c.apply_swap(int(j1), int(j2)) for k, c in caches.items()
-                }
+                cache.apply_swap(int(j1), int(j2))
             else:
                 j = int(rng.integers(0, problem.num_components))
                 i = int(rng.integers(0, problem.num_partitions))
-                reported = {k: c.apply_move(j, i) for k, c in caches.items()}
-            assert abs(reported["batched"] - reported["scalar"]) < 1e-8
-        b, s = caches["batched"], caches["scalar"]
-        assert np.allclose(b.delta, s.delta, atol=1e-8)
-        assert np.array_equal(b.timing_block, s.timing_block)
-        assert np.array_equal(b.part, s.part)
-        assert np.allclose(b.loads, s.loads)
-        assert b.stats.as_dict() == s.stats.as_dict()
-        b.audit()
-        s.audit()
+                cache.apply_move(j, i)
+            oracle.assert_matches_oracle(cache)
 
     @settings(max_examples=30, deadline=None)
     @given(problems(), st.integers(0, 2**31), st.data())
-    def test_reset_resynchronises_both_kernels(self, problem, seed, data):
-        """reset() to a fresh assignment leaves both kernels exact."""
+    def test_reset_resynchronises_with_oracle(self, problem, seed, data):
+        """reset() to a fresh assignment leaves the cache exact."""
         rng = np.random.default_rng(seed)
-        a = random_assignment(problem, rng)
-        caches = {k: DeltaCache(problem, a, kernel=k) for k in KERNEL_MODES}
-        moves = data.draw(st.integers(1, 4))
-        for _ in range(moves):
+        cache = DeltaCache(problem, random_assignment(problem, rng))
+        for _ in range(data.draw(st.integers(1, 4))):
             j = int(rng.integers(0, problem.num_components))
             i = int(rng.integers(0, problem.num_partitions))
-            for cache in caches.values():
-                cache.apply_move(j, i)
+            cache.apply_move(j, i)
         fresh = random_assignment(problem, rng)
-        for cache in caches.values():
-            cache.reset(Assignment(fresh.part.copy(), problem.num_partitions))
-            cache.audit()
-        assert np.allclose(
-            caches["batched"].delta, caches["scalar"].delta, atol=1e-8
-        )
+        cache.reset(Assignment(fresh.part.copy(), problem.num_partitions))
+        oracle.assert_matches_oracle(cache)

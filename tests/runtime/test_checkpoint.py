@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.runtime.budget import Budget
+from repro.obs.events import IterationEvent
 from repro.obs.telemetry import Telemetry
 from repro.runtime.checkpoint import (
     QBP_CHECKPOINT_FORMAT,
@@ -260,9 +261,12 @@ class TestSolveQbpResume:
         path = tmp_path / "qbp.json"
         budget = Budget()
 
-        def cancel_at_4(k, assignment, pen):
-            if k == 4:
-                budget.cancel()
+        class CancelAt4:
+            # Iteration 4's event precedes its checkpoint save, so the
+            # run stops with iteration 4 on disk.
+            def emit(self, event):
+                if isinstance(event, IterationEvent) and event.iteration == 4:
+                    budget.cancel()
 
         interrupted = solve_qbp(
             timed_problem,
@@ -271,7 +275,7 @@ class TestSolveQbpResume:
             seed=7,
             budget=budget,
             checkpointer=QbpCheckpointer(path, every=1),
-            callback=cancel_at_4,
+            telemetry=Telemetry(enabled=True, sinks=[CancelAt4()]),
         )
         assert interrupted.stop_reason == "cancelled"
         assert interrupted.iterations < 10

@@ -8,6 +8,8 @@ from repro.core.constraints import check_feasibility
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.problem import PartitioningProblem
 from repro.netlist.generate import ClusteredCircuitSpec, generate_clustered_circuit
+from repro.obs.events import IterationEvent
+from repro.obs.telemetry import Telemetry
 from repro.solvers.burkard import (
     PAPER_PENALTY,
     bootstrap_initial_solution,
@@ -134,36 +136,12 @@ class TestTimingSolve:
             result = solve_qbp(timed_problem, iterations=5, seed=0, eta_mode=mode)
             assert result.eta_mode == mode
 
-    def test_callback_invoked(self, timed_problem):
-        seen = []
-        solve_qbp(
-            timed_problem,
-            iterations=4,
-            seed=0,
-            callback=lambda k, a, pen: seen.append((k, pen)),
-        )
-        assert [k for k, _ in seen] == [1, 2, 3, 4]
-
-    def test_callback_exception_does_not_kill_run(self, timed_problem, caplog):
-        def explode(k, assignment, pen):
-            raise RuntimeError("observer bug")
-
-        with caplog.at_level("WARNING", logger="repro.solvers.burkard"):
-            result = solve_qbp(timed_problem, iterations=4, seed=0, callback=explode)
-        assert result.iterations == 4  # every iteration still ran
-        assert result.stop_reason == "completed"
-        assert any("callback raised" in r.message for r in caplog.records)
-
-    def test_deterministic_unaffected_by_callback_failure(self, timed_problem):
-        clean = solve_qbp(timed_problem, iterations=4, seed=9)
-        noisy = solve_qbp(
-            timed_problem,
-            iterations=4,
-            seed=9,
-            callback=lambda k, a, pen: (_ for _ in ()).throw(ValueError("x")),
-        )
-        assert np.array_equal(clean.assignment.part, noisy.assignment.part)
-        assert clean.history == noisy.history
+    def test_iteration_events_carry_penalized_costs(self, timed_problem):
+        tel = Telemetry.enabled_default()
+        result = solve_qbp(timed_problem, iterations=4, seed=0, telemetry=tel)
+        events = [e for e in tel.events() if isinstance(e, IterationEvent)]
+        assert [e.iteration for e in events] == [1, 2, 3, 4]
+        assert [e.cost for e in events] == result.history[1:]
 
 
 class TestBootstrap:

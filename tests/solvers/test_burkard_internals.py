@@ -17,7 +17,7 @@ from repro.core.objective import ObjectiveEvaluator
 from repro.core.problem import PartitioningProblem
 from repro.core.qmatrix import build_q_dense
 from repro.netlist.circuit import Circuit
-from repro.solvers.burkard import _IterationState, resolve_penalty
+from repro.solvers.burkard import IterationState, resolve_penalty
 from repro.timing.constraints import TimingConstraints
 from repro.topology.grid import grid_topology
 
@@ -47,7 +47,7 @@ def dense_qhat(problem, penalty):
 
 def make_state(problem, eta_mode, penalty=50.0):
     evaluator = ObjectiveEvaluator(problem)
-    return _IterationState(problem, evaluator, penalty, eta_mode)
+    return IterationState(problem, evaluator, penalty, eta_mode)
 
 
 class TestEtaAgainstDense:

@@ -144,151 +144,6 @@ class TestCli:
         assert payload["counters"]["solver.iterations"] > 0
         assert check_bench_mod.check_bench(payload, payload) == []
 
-def scaling_cell(n, k, batched_s=0.01, scalar_s=0.05, **extra):
-    counters = {
-        "delta.moves": 8.0,
-        "delta.row_refreshes": 24.0,
-        "delta.full_rebuilds": 1.0,
-    }
-    cell = {
-        "n": n,
-        "k": k,
-        "moves": 8,
-        "kernels": {
-            "batched": {"seconds": batched_s, "counters": dict(counters)},
-            "scalar": {"seconds": scalar_s, "counters": dict(counters)},
-        },
-        "speedup": scalar_s / batched_s,
-    }
-    cell.update(extra)
-    return cell
-
-
-@pytest.fixture
-def scaling():
-    return {
-        "format": "bench-scaling-v1",
-        "sizes": [64, 256],
-        "partitions": [2],
-        "moves": 8,
-        "cells": [scaling_cell(64, 2), scaling_cell(256, 2)],
-    }
-
-
-class TestScalingGate:
-    def test_identical_documents_pass(self, scaling):
-        assert check_bench_mod.check_scaling(scaling, scaling) == []
-
-    def test_counter_drift_fails_with_both_values(self, scaling):
-        current = copy.deepcopy(scaling)
-        current["cells"][0]["kernels"]["batched"]["counters"][
-            "delta.row_refreshes"
-        ] = 99.0
-        problems = check_bench_mod.check_scaling(current, scaling)
-        assert len(problems) == 1
-        assert "delta.row_refreshes" in problems[0]
-        assert "24" in problems[0] and "99" in problems[0]
-
-    def test_missing_cell_fails(self, scaling):
-        current = copy.deepcopy(scaling)
-        del current["cells"][1]
-        problems = check_bench_mod.check_scaling(current, scaling)
-        assert any("n=256" in p and "missing from run" in p for p in problems)
-
-    def test_extra_cell_is_not_a_failure(self, scaling):
-        current = copy.deepcopy(scaling)
-        current["cells"].append(scaling_cell(1024, 2))
-        assert check_bench_mod.check_scaling(current, scaling) == []
-
-    def test_wall_time_blowup_fails(self, scaling):
-        current = copy.deepcopy(scaling)
-        current["cells"][0]["kernels"]["scalar"]["seconds"] = 5.0  # 100x
-        problems = check_bench_mod.check_scaling(current, scaling)
-        assert any("kernel scalar" in p and "100.0x" in p for p in problems)
-
-    def test_speedup_below_committed_floor_fails(self, scaling):
-        baseline = copy.deepcopy(scaling)
-        baseline["cells"][0]["min_speedup"] = 2.0
-        current = copy.deepcopy(scaling)
-        current["cells"][0]["kernels"]["batched"]["seconds"] = 0.04
-        current["cells"][0]["speedup"] = 1.25
-        problems = check_bench_mod.check_scaling(current, baseline)
-        assert len(problems) == 1
-        assert "speedup" in problems[0]
-        assert "1.25x" in problems[0] and "2x" in problems[0]
-
-    def test_batched_slower_than_scalar_fails_by_default(self, scaling):
-        # No explicit floor: min_speedup defaults to 1 - batched must
-        # never lose to the reference kernel.
-        current = copy.deepcopy(scaling)
-        current["cells"][0]["kernels"]["batched"]["seconds"] = 0.1
-        current["cells"][0]["speedup"] = 0.5
-        problems = check_bench_mod.check_scaling(current, scaling)
-        assert any("speedup" in p and "0.50x" in p for p in problems)
-
-    def test_cli_gates_scaling_documents(self, tmp_path, scaling):
-        write = TestCli().write
-        current = write(tmp_path / "current.json", scaling)
-        baseline = write(tmp_path / "baseline.json", scaling)
-        assert (
-            check_bench_mod.main([str(current), "--baseline", str(baseline)]) == 0
-        )
-
-    def test_cli_rejects_scaling_against_ledger(self, tmp_path, scaling):
-        write = TestCli().write
-        current = write(tmp_path / "current.json", scaling)
-        with pytest.raises(SystemExit):
-            check_bench_mod.main([str(current), "--ledger", "ledger.jsonl"])
-
-    def test_cli_rejects_format_mismatch(self, tmp_path, scaling, snapshot):
-        write = TestCli().write
-        current = write(tmp_path / "current.json", scaling)
-        baseline = write(tmp_path / "baseline.json", snapshot)
-        assert (
-            check_bench_mod.main([str(current), "--baseline", str(baseline)]) == 2
-        )
-
-    def test_update_preserves_speedup_floors(self, tmp_path, scaling):
-        write = TestCli().write
-        baseline_payload = copy.deepcopy(scaling)
-        baseline_payload["cells"][1]["min_speedup"] = 2.0
-        baseline = write(tmp_path / "baseline.json", baseline_payload)
-        current_payload = copy.deepcopy(scaling)
-        current_payload["cells"][0]["kernels"]["batched"]["seconds"] = 0.002
-        current = write(tmp_path / "current.json", current_payload)
-        assert (
-            check_bench_mod.main(
-                [str(current), "--baseline", str(baseline), "--update"]
-            )
-            == 0
-        )
-        updated = json.loads(baseline.read_text())
-        floors = {
-            (c["n"], c["k"]): c["min_speedup"] for c in updated["cells"]
-        }
-        assert floors == {(64, 2): 1.0, (256, 2): 2.0}
-        assert (
-            updated["cells"][0]["kernels"]["batched"]["seconds"] == 0.002
-        )
-
-    def test_committed_scaling_baseline_is_valid(self):
-        baseline = (
-            Path(__file__).resolve().parents[2]
-            / "benchmarks"
-            / "baselines"
-            / "scaling.json"
-        )
-        payload = check_bench_mod.load_snapshot(baseline)
-        assert check_bench_mod.check_scaling(payload, payload) == []
-        floors = {
-            (c["n"], c["k"]): c["min_speedup"] for c in payload["cells"]
-        }
-        # The acceptance floor: batched at least 2x scalar at N=1024.
-        assert floors[(1024, 2)] >= 2.0
-        assert floors[(1024, 8)] >= 2.0
-        for cell in payload["cells"]:
-            assert cell["speedup"] >= cell["min_speedup"]
-
 
 class TestLedgerGate:
     def _append(self, path, snapshot):
