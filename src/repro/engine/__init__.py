@@ -13,8 +13,6 @@ algorithm packages that build on it:
   entry points build once instead of threading five parameters,
 * :class:`~repro.engine.outcome.SolveOutcome` — the unified result type
   every solver's result subclasses,
-* :mod:`~repro.engine.fanout` — the shared fold helpers for parallel
-  fan-out (best-restart selection, ordered outcome routing),
 * :mod:`~repro.engine.registry` — the solver-registry vocabulary
   (:class:`SolverSpec` capability records, :class:`SolverConfig`
   canonical-digest config dataclasses, :class:`SolverRegistry`).  Only
@@ -29,7 +27,6 @@ Layering (machine-enforced by ``scripts/check_imports.py`` and
 
 from repro.engine.context import SolverContext
 from repro.engine.delta import ETA_MODES, DeltaCache, DeltaStats
-from repro.engine.fanout import BestFold, fold_outcomes
 from repro.engine.outcome import SolveOutcome
 from repro.engine.registry import (
     RunContext,
@@ -41,7 +38,6 @@ from repro.engine.registry import (
 )
 
 __all__ = [
-    "BestFold",
     "DeltaCache",
     "DeltaStats",
     "ETA_MODES",
@@ -53,5 +49,4 @@ __all__ = [
     "SolverSpec",
     "UnknownSolverError",
     "config_field",
-    "fold_outcomes",
 ]

@@ -30,12 +30,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.core.assignment import Assignment
 from repro.core.constraints import check_feasibility
 from repro.core.objective import ObjectiveEvaluator
-from repro.engine.fanout import fold_outcomes
 from repro.eval.paper_data import GKL_OUTER_LOOPS, QBP_ITERATIONS
 from repro.eval.workloads import Workload, build_workload, workload_names
 from repro.obs.metrics import METRICS_SNAPSHOT_FORMAT, diff_snapshots
 from repro.obs.telemetry import Telemetry, resolve as resolve_telemetry
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import FINAL_FAILURE_KINDS, WorkerPool
 from repro.parallel.retry import IntegrityError, RetryPolicy
 from repro.pipeline import (
     SolvePipeline,
@@ -661,9 +660,10 @@ def _table_circuit_task(payload, ctx):
     The payload ships the circuit *name* plus run parameters; the
     workload itself is rebuilt in the worker unless a pre-built one was
     provided (construction is deterministic, and rebuilding beats
-    pickling a full workload per task).  ``ctx.budget`` is this
-    circuit's lease under the sweep budget and ``ctx.telemetry`` the
-    worker's own bundle, merged back by the pool.
+    pickling a full workload per task).  In a worker process
+    ``ctx.budget`` is this circuit's lease under the sweep budget and
+    ``ctx.telemetry`` the worker's own bundle, merged back by the pool;
+    in-process they are the sweep's own budget and bundle.
     """
     (
         name,
@@ -738,10 +738,11 @@ def run_table(
         tables are produced in one session.
     budget:
         Shared :class:`~repro.runtime.budget.Budget` for the whole
-        sweep.  On expiry the in-flight circuit's row (best incumbents,
-        ``stop_reason`` set) is still emitted, then the sweep stops
-        (serial) or the remaining circuits' leases are revoked
-        cooperatively (parallel).
+        sweep.  No circuit starts once it has stopped.  On expiry an
+        in-flight circuit's row (best incumbents, ``stop_reason`` set)
+        is still emitted; circuits not yet started get no row
+        (in-process) or run out their revoked leases cooperatively
+        (processes).
     checkpoint_dir:
         Directory for a :class:`TableCheckpoint`.  Completed circuits
         are skipped on re-run and the interrupted one resumes from its
@@ -755,22 +756,30 @@ def run_table(
         ``harness.circuit`` span and its row carries per-method timings
         and metric deltas.
     workers:
-        Process count for fanning circuits out over a
-        :class:`~repro.parallel.pool.WorkerPool` (``None`` reads
-        ``REPRO_WORKERS``, default 1).  Every circuit receives the same
-        ``seed`` in both modes, so parallel rows are bit-identical to
-        serial ones; rows always come back in canonical circuit order.
-        A circuit whose worker fails is retried serially in-process, so
-        real errors surface with their original exception type.
+        Process count for the :class:`~repro.parallel.pool.WorkerPool`
+        every circuit goes through, in one ``map`` call (``None`` reads
+        ``REPRO_WORKERS``, default 1, which runs the circuits
+        in-process).  Every circuit receives the same ``seed`` for
+        every worker count, so rows are bit-identical across worker
+        counts; they always come back in canonical circuit order.
     task_timeout / retry:
         Self-healing knobs forwarded to the pool: a hang deadline in
         seconds (``None`` reads ``REPRO_TASK_TIMEOUT``) and a
         :class:`~repro.parallel.retry.RetryPolicy` (``None`` reads
-        ``REPRO_TASK_RETRIES``).  Every worker row also passes the
+        ``REPRO_TASK_RETRIES``).  Every row also passes the
         :func:`verify_table_row` integrity gate before it is accepted or
-        checkpointed; rejected rows are retried under the policy and,
-        failing that, recomputed serially in-process.  See
+        checkpointed; rejected rows are retried under the policy.  See
         ``docs/ROBUSTNESS.md``.
+
+    Raises
+    ------
+    RuntimeError
+        After the map, when a circuit still failed (``error``,
+        ``crash``, ``hang`` or ``integrity``, after the retry policy)
+        while the budget is live.  The message names every failed
+        circuit and carries the first failure's traceback.  A failure
+        that settles after the budget stopped (a drain) yields no row
+        and no error; a resumed run recomputes the circuit.
     """
     if table not in (2, 3):
         raise ValueError(f"table must be 2 or 3, got {table}")
@@ -793,49 +802,21 @@ def run_table(
         )
     tel = resolve_telemetry(telemetry)
 
-    def run_one(name: str) -> ExperimentRow:
-        workload = (
-            workloads[name]
-            if workloads and name in workloads
-            else build_workload(name, scale=scale)
-        )
-        initial = initials.get(name) if initials else None
-        with tel.span("harness.circuit", circuit=name, table=table):
-            return run_circuit_experiment(
-                workload,
-                with_timing=(table == 3),
-                methods=method_names,
-                qbp_iterations=qbp_iterations,
-                seed=seed,
-                initial=initial.copy() if initial is not None else None,
-                budget=budget,
-                qbp_checkpoint_path=(
-                    checkpoint.qbp_checkpoint_path(name) if checkpoint else None
-                ),
-                telemetry=telemetry,
-            )
-
     pending = [
         name
         for name in names
         if checkpoint is None or checkpoint.completed(name) is None
     ]
-    pool = WorkerPool(
-        workers=workers,
-        name="eval.table",
-        budget=budget,
-        telemetry=tel,
-        task_timeout=task_timeout,
-        retry=retry,
-    )
-    parallel = (
-        len(pending) > 1
-        and pool.uses_processes
-        and (budget is None or budget.check() is None)
-    )
-
     finished: Dict[str, ExperimentRow] = {}
-    if parallel:
+    if budget is None or budget.check() is None:  # nothing starts after a stop
+        pool = WorkerPool(
+            workers=workers,
+            name="eval.table",
+            budget=budget,
+            telemetry=tel,
+            task_timeout=task_timeout,
+            retry=retry,
+        )
         payloads = [
             (
                 name,
@@ -866,36 +847,29 @@ def run_table(
                 on_result=record,
                 verify=verify_table_row,
             )
-        # Shared fold helper (same contract as multistart): submission
-        # order, failures dropped so the serial loop below retries them.
-        fold_outcomes(
-            outcomes,
-            on_value=lambda index, row: finished.__setitem__(pending[index], row),
-        )
+        failures = []
+        for outcome in outcomes:
+            if outcome.failure is None:
+                finished[pending[outcome.index]] = outcome.value
+            elif outcome.failure.kind in FINAL_FAILURE_KINDS:
+                failures.append(outcome.failure)
+        if failures and (budget is None or budget.check() is None):
+            first = failures[0]
+            raise RuntimeError(
+                f"table {table}: circuit(s) failed: "
+                + "; ".join(
+                    f"{pending[f.index]} ({f.describe()})" for f in failures
+                )
+                + (f"\n{first.traceback}" if first.traceback else "")
+            )
 
     rows: List[ExperimentRow] = []
     for name in names:
-        if checkpoint is not None:
-            done = checkpoint.completed(name)
-            if done is not None and name not in finished:
-                rows.append(done)
-                continue
-        if name in finished:
-            rows.append(finished[name])
-            continue
-        # Serial path; under ``parallel`` this is the in-process retry
-        # for circuits whose worker failed.
-        if budget is not None and budget.check() is not None:
-            if parallel:
-                continue  # other circuits may have finished: no resume gap
-            break  # nothing started for this circuit: resume later
-        row = run_one(name)
-        verify_table_row(row, (name, table))  # same gate as the worker path
-        rows.append(row)
-        if checkpoint is not None:
-            checkpoint.record(row)
-        if row.stop_reason != STOP_COMPLETED and not parallel:
-            break  # budget expired mid-circuit; the row holds the incumbents
+        row = finished.get(name)
+        if row is None and checkpoint is not None:
+            row = checkpoint.completed(name)
+        if row is not None:
+            rows.append(row)
     return rows
 
 

@@ -84,6 +84,18 @@ class Telemetry:
         """A fresh enabled bundle with an in-memory :class:`EventLog` sink."""
         return cls(enabled=True, sinks=[EventLog()])
 
+    @classmethod
+    def metrics_only(cls) -> "Telemetry":
+        """A fresh enabled bundle that keeps metrics but no spans or events.
+
+        For long-lived holders such as the partitioning service: counters
+        and gauges stay bounded, while a tracer and an event log would
+        grow with every solve.
+        """
+        telemetry = cls(enabled=True)
+        telemetry.tracer = None
+        return telemetry
+
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs: Any):
         """A tracing span, or the shared no-op span when disabled."""

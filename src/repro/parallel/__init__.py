@@ -37,7 +37,6 @@ from repro.parallel.pool import (
     TaskFailure,
     TaskOutcome,
     WorkerContext,
-    WorkerCrashError,
     WorkerPool,
     resolve_task_timeout,
     resolve_workers,
@@ -62,7 +61,6 @@ __all__ = [
     "TaskFailure",
     "TaskOutcome",
     "WorkerContext",
-    "WorkerCrashError",
     "WorkerPool",
     "capture_worker_dump",
     "merge_metric_snapshots",

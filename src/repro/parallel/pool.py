@@ -38,9 +38,9 @@ Failure taxonomy (``TaskFailure.kind``)
     The worker returned a value, but the parent-side ``verify``
     callback rejected it (:class:`~repro.parallel.retry.IntegrityError`)
     - a silently wrong result never enters the fold.
-``budget`` / ``skipped``
-    Verdicts, not failures: the shared budget expired before the task
-    started, or ``first_success`` already has a winner.
+``budget``
+    A verdict, not a failure: the shared budget stopped before the task
+    started (serial path; task 0 always runs).
 
 ``error``, ``crash``, ``hang``, and ``integrity`` failures are
 *retryable*: with a :class:`~repro.parallel.retry.RetryPolicy` the pool
@@ -58,10 +58,7 @@ The parent polls its shared budget between completions; on expiry or
 :meth:`~repro.runtime.budget.Budget.cancel` it sets the pool-wide cancel
 event and every in-flight task's lease reports ``cancelled`` at its next
 cooperative check - solvers then return their incumbents, exactly as
-they do under a serial budget stop.  ``first_success=True`` triggers the
-same signal as soon as one task's result passes the integrity gate
-(hedged-request mode); hung stragglers are still killed by the
-``task_timeout`` watchdog rather than outliving the batch.
+they do under a serial budget stop.
 
 When processes are not used
 ---------------------------
@@ -129,10 +126,6 @@ _CRASH_EXIT_CODE = 70
 
 FINAL_FAILURE_KINDS = ("error", "crash", "hang", "integrity")
 """Failure kinds that represent real faults (emit audit events)."""
-
-
-class WorkerCrashError(RuntimeError):
-    """Raised by ``map(..., strict=True)`` when any task failed."""
 
 
 @dataclass(frozen=True)
@@ -380,8 +373,6 @@ class WorkerPool:
         fn: Callable[[Any, WorkerContext], Any],
         payloads: Sequence[Any],
         *,
-        first_success: bool = False,
-        strict: bool = False,
         on_result: Optional[Callable[[TaskOutcome], None]] = None,
         verify: Optional[Callable[[Any, Any], None]] = None,
     ) -> List[TaskOutcome]:
@@ -393,35 +384,20 @@ class WorkerPool:
         parent as ``verify(value, payload)`` before a result is
         accepted; raising :class:`~repro.parallel.retry.IntegrityError`
         rejects the value as an ``integrity``-kind failure (retried
-        under the pool's retry policy).  ``first_success=True`` cancels
-        the stragglers once any task passes the gate.  ``strict=True``
-        raises :class:`WorkerCrashError` on the first (by index) failure
-        after all tasks settle.
+        under the pool's retry policy).
         """
         payloads = list(payloads)
         states = [_TaskState(index, payload) for index, payload in enumerate(payloads)]
         if self.uses_processes and len(payloads) > 1:
-            self._map_processes(fn, states, first_success, on_result, verify)
+            self._map_processes(fn, states, on_result, verify)
         else:
-            self._map_serial(fn, states, first_success, on_result, verify)
+            self._map_serial(fn, states, on_result, verify)
         tel = resolve_telemetry(self.telemetry)
         self._flush_records(tel, states)
-        outcomes = [
+        return [
             state.outcome if state.outcome is not None else TaskOutcome(state.index)
             for state in states
         ]
-        if strict:
-            for outcome in outcomes:
-                if outcome.failure is not None:
-                    raise WorkerCrashError(
-                        f"{self.name}: {outcome.failure.describe()}"
-                        + (
-                            f"\n{outcome.failure.traceback}"
-                            if outcome.failure.traceback
-                            else ""
-                        )
-                    )
-        return outcomes
 
     # ------------------------------------------------------------------
     # Shared attempt-settlement logic (serial + process paths)
@@ -487,24 +463,12 @@ class WorkerPool:
         return True
 
     # ------------------------------------------------------------------
-    def _map_serial(self, fn, states, first_success, on_result, verify):
+    def _map_serial(self, fn, states, on_result, verify):
         tel = resolve_telemetry(self.telemetry)
         progress = _BatchProgress(self.name, tel, states)
-        done = False
         for state in states:
             progress.update()
             index = state.index
-            if done:
-                state.outcome = TaskOutcome(
-                    index,
-                    failure=TaskFailure(
-                        index,
-                        "Skipped",
-                        "cancelled after first success",
-                        kind="skipped",
-                    ),
-                )
-                continue
             reason = self.budget.check() if self.budget is not None else None
             if reason is not None and index > 0:
                 state.outcome = TaskOutcome(
@@ -546,10 +510,7 @@ class WorkerPool:
                         allow_retry=allow,
                     )
                     continue
-                if self._gate_and_accept(state, value, verify, on_result):
-                    if first_success:
-                        done = True
-                else:
+                if not self._gate_and_accept(state, value, verify, on_result):
                     self._settle_failure(
                         state,
                         kind="integrity",
@@ -559,7 +520,7 @@ class WorkerPool:
         progress.update(force=True)
 
     # ------------------------------------------------------------------
-    def _map_processes(self, fn, states, first_success, on_result, verify):
+    def _map_processes(self, fn, states, on_result, verify):
         tel = resolve_telemetry(self.telemetry)
         capture = tel.enabled
         progress = _BatchProgress(self.name, tel, states)
@@ -570,7 +531,6 @@ class WorkerPool:
         fresh = deque(states)
         retries: List[_TaskState] = []
         running: Dict[Any, _RunningAttempt] = {}  # conn -> attempt
-        winner = False
 
         def launch(state: _TaskState) -> None:
             heartbeat = ctx.Value("d", 0.0, lock=False)
@@ -607,7 +567,6 @@ class WorkerPool:
                 plan.record_injected(site, state.index, fired)
 
         def settle(attempt: _RunningAttempt) -> None:
-            nonlocal winner
             state = attempt.state
             conn = attempt.conn
             message = None
@@ -650,11 +609,7 @@ class WorkerPool:
                     allow_retry=not cancel.is_set(),
                 )
                 return
-            if self._gate_and_accept(state, value, verify, on_result):
-                if first_success and not winner:
-                    winner = True
-                    cancel.set()
-            else:
+            if not self._gate_and_accept(state, value, verify, on_result):
                 self._settle_failure(
                     state,
                     kind="integrity",
@@ -683,7 +638,7 @@ class WorkerPool:
             while fresh or retries or running:
                 now = time.monotonic()
                 # Launch: overdue retries first (they are older work),
-                # then fresh tasks; a first-success winner skips the rest.
+                # then fresh tasks.
                 while len(running) < max_workers:
                     next_state = None
                     for state in retries:
@@ -694,17 +649,6 @@ class WorkerPool:
                         retries.remove(next_state)
                     elif fresh:
                         next_state = fresh.popleft()
-                        if winner:
-                            next_state.outcome = TaskOutcome(
-                                next_state.index,
-                                failure=TaskFailure(
-                                    next_state.index,
-                                    "Skipped",
-                                    "cancelled after first success",
-                                    kind="skipped",
-                                ),
-                            )
-                            continue
                     else:
                         break
                     launch(next_state)

@@ -19,8 +19,7 @@ retries production-grade *and* reproducible:
   actionable audit line.
 
 Which failure kinds are retried is the policy's ``retry_kinds`` set;
-budget stops and skips are never retried (they are verdicts, not
-failures).
+budget stops are never retried (they are verdicts, not failures).
 """
 
 from __future__ import annotations

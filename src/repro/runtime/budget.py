@@ -170,8 +170,8 @@ class Budget:
 
         The child shares this budget's cancel flag and clock, and its
         deadline is the tighter of the parent's remaining time and the
-        requested allowance.  Used by the supervisor for per-attempt
-        timeouts.
+        requested allowance.  Used by the service for per-request
+        deadlines.
         """
         remaining = self.remaining_seconds()
         if wall_seconds is not None:

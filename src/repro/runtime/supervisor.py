@@ -1,4 +1,4 @@
-"""Supervised fallback ladders: retry, timeout, backoff, audit trail.
+"""Supervised fallback ladders: retries, budget stops, audit trail.
 
 Several places in the repo used to hand-roll the same pattern - try the
 best solver, catch its failure, fall back to something cruder, repeat::
@@ -9,10 +9,10 @@ best solver, catch its failure, fall back to something cruder, repeat::
 
 :class:`SolverSupervisor` makes that policy explicit and auditable: a
 ladder of :class:`Attempt` rungs is run top to bottom, each rung with
-its own retry count, exponential backoff, and per-attempt wall-clock
-allowance; every try is recorded in an :class:`AttemptRecord` so a
-degraded result can explain *how* it degraded.  Only *transient*
-exception types are absorbed - programming errors propagate immediately.
+its own retry count, under one shared budget; every try is recorded in
+an :class:`AttemptRecord` so a degraded result can explain *how* it
+degraded.  Only *transient* exception types are absorbed - programming
+errors propagate immediately.
 
 Used by:
 
@@ -27,7 +27,7 @@ Used by:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Type
 
 from repro.obs.events import FallbackEvent
@@ -39,16 +39,14 @@ from repro.runtime.budget import Budget, BudgetExceededError
 class Attempt:
     """One rung of a fallback ladder.
 
-    ``run`` is called with a single argument: a :class:`Budget` scoped
-    to this attempt (or ``None`` when unconstrained).  Cooperative
+    ``run`` is called with a single argument: the supervisor's shared
+    :class:`Budget` (or ``None`` when unconstrained).  Cooperative
     callables honor it; others simply ignore the argument.
     """
 
     name: str
     run: Callable[[Optional[Budget]], Any]
     retries: int = 0
-    backoff_seconds: float = 0.0
-    timeout_seconds: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ class AttemptRecord:
 
     name: str
     try_index: int
-    status: str  # "ok" | "error" | "timeout" | "skipped"
+    status: str  # "ok" | "error" | "skipped"
     elapsed_seconds: float
     error: Optional[str] = None
 
@@ -103,8 +101,6 @@ class SolverSupervisor:
         Optional shared budget.  When it runs out, remaining rungs are
         recorded as ``skipped`` and :class:`BudgetExceededError` is
         raised - callers keep their incumbent.
-    sleep:
-        Injectable sleep (tests pass a recorder instead of waiting).
     name:
         Ladder label carried by emitted
         :class:`~repro.obs.events.FallbackEvent` entries (e.g. ``"gap"``).
@@ -121,7 +117,6 @@ class SolverSupervisor:
         *,
         transient: Tuple[Type[BaseException], ...] = (RuntimeError,),
         budget: Optional[Budget] = None,
-        sleep: Callable[[float], None] = time.sleep,
         name: str = "supervisor",
         telemetry: Optional[Telemetry] = None,
     ) -> None:
@@ -130,7 +125,6 @@ class SolverSupervisor:
         self.attempts = list(attempts)
         self.transient = transient
         self.budget = budget
-        self.sleep = sleep
         self.name = name
         self.telemetry = telemetry
 
@@ -182,47 +176,27 @@ class SolverSupervisor:
                     records, attempt.name, try_index, "skipped", 0.0, "budget exhausted"
                 )
                 raise BudgetExceededError(self.budget.check() or "deadline")
-            scoped = self._scoped_budget(attempt)
             start = time.perf_counter()
             try:
                 with tel.span(attempt.name, ladder=self.name, try_index=try_index):
-                    value = attempt.run(scoped)
+                    value = attempt.run(self.budget)
             except BudgetExceededError:
-                elapsed = time.perf_counter() - start
-                if self.budget is not None and self.budget.check() is not None:
-                    # The *shared* budget ran out mid-attempt: stop the ladder.
-                    self._record_failure(
-                        records, attempt.name, try_index, "skipped", elapsed,
-                        "budget exhausted",
-                    )
-                    raise
-                # Only the per-attempt allowance expired: treat as a rung
-                # failure and keep descending the ladder.
+                # A rung only ever sees the shared budget, so its stop
+                # ends the whole ladder.
                 self._record_failure(
-                    records, attempt.name, try_index, "timeout", elapsed,
-                    "attempt timeout",
+                    records, attempt.name, try_index, "skipped",
+                    time.perf_counter() - start, "budget exhausted",
                 )
-                continue
+                raise
             except self.transient as exc:
                 elapsed = time.perf_counter() - start
                 self._record_failure(
                     records, attempt.name, try_index, "error", elapsed,
                     f"{type(exc).__name__}: {exc}",
                 )
-                if try_index < attempt.retries and attempt.backoff_seconds > 0:
-                    self.sleep(attempt.backoff_seconds * (2.0 ** try_index))
                 continue
             records.append(
                 AttemptRecord(attempt.name, try_index, "ok", time.perf_counter() - start)
             )
             return (value,)
-        return None
-
-    def _scoped_budget(self, attempt: Attempt) -> Optional[Budget]:
-        if self.budget is not None:
-            if attempt.timeout_seconds is None:
-                return self.budget
-            return self.budget.scoped(attempt.timeout_seconds)
-        if attempt.timeout_seconds is not None:
-            return Budget(wall_seconds=attempt.timeout_seconds)
         return None

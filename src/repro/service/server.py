@@ -92,8 +92,12 @@ class PartitionService:
     default_deadline:
         Applied to requests that carry no ``deadline_seconds``.
     telemetry:
-        Defaults to a fresh enabled bundle so ``/metrics`` always has
-        data; pass an explicit bundle to share one with a host process.
+        Defaults to a fresh metrics-only bundle
+        (:meth:`~repro.obs.telemetry.Telemetry.metrics_only`), so
+        ``/metrics`` always has data while spans and events, which
+        nothing in the service reads, are not kept for the life of the
+        process; pass an explicit bundle to record them or to share one
+        with a host process.
     """
 
     def __init__(
@@ -108,7 +112,7 @@ class PartitionService:
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.telemetry = (
-            telemetry if telemetry is not None else Telemetry.enabled_default()
+            telemetry if telemetry is not None else Telemetry.metrics_only()
         )
         self.budget = Budget()  # unbounded; carries the shared cancel flag
         self.cache = ResultCache(cache_capacity, spill_path=spill_path)

@@ -79,6 +79,23 @@ class BurkardResult(SolveOutcome):
         return self.best_feasible_assignment
 
 
+def check_solve_args(iterations: int, eta_mode: str, anchor_mode: str) -> None:
+    """Raise ``ValueError`` for :func:`solve_qbp` arguments no solve accepts.
+
+    Shared with :func:`~repro.solvers.qbp.multistart.solve_qbp_multistart`,
+    which checks before its fan-out so a bad argument raises the same
+    error for every worker count.
+    """
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if eta_mode not in ETA_MODES:
+        raise ValueError(f"eta_mode must be one of {ETA_MODES}, got {eta_mode!r}")
+    if anchor_mode not in ANCHOR_MODES:
+        raise ValueError(
+            f"anchor_mode must be one of {ANCHOR_MODES}, got {anchor_mode!r}"
+        )
+
+
 def solve_qbp(
     problem,
     *,
@@ -103,14 +120,7 @@ def solve_qbp(
     documentation (this module keeps the implementation; the facade
     keeps the user-facing reference).
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if eta_mode not in ETA_MODES:
-        raise ValueError(f"eta_mode must be one of {ETA_MODES}, got {eta_mode!r}")
-    if anchor_mode not in ANCHOR_MODES:
-        raise ValueError(
-            f"anchor_mode must be one of {ANCHOR_MODES}, got {anchor_mode!r}"
-        )
+    check_solve_args(iterations, eta_mode, anchor_mode)
 
     ctx = SolverContext.create(
         problem, seed=seed, telemetry=telemetry, budget=budget,
@@ -450,4 +460,4 @@ def _solve_gap_graceful(
         return None
 
 
-__all__ = ["BurkardResult", "solve_qbp"]
+__all__ = ["BurkardResult", "check_solve_args", "solve_qbp"]

@@ -1,10 +1,8 @@
 """Multi-start driver for the generalized Burkard solver.
 
-Restart fan-out (serial or process-pool), best-restart selection, and
-failure accounting.  The selection rule itself —
-``(best_feasible_cost, penalized_cost)`` minimised with ties to the
-lowest restart index — lives in :class:`repro.engine.fanout.BestFold`,
-shared with the evaluation harness's table fan-out.
+Restart fan-out over a :class:`~repro.parallel.pool.WorkerPool`,
+best-restart selection (``(best_feasible_cost, penalized_cost)``
+minimised, ties to the lowest restart index), and failure accounting.
 """
 
 from __future__ import annotations
@@ -17,27 +15,29 @@ import numpy as np
 from repro.core.constraints import check_feasibility
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.problem import PartitioningProblem
-from repro.engine.fanout import BestFold, fold_outcomes
-from repro.obs.events import FallbackEvent, IntegrityEvent, RestartEvent
+from repro.obs.events import RestartEvent
 from repro.obs.telemetry import Telemetry, resolve as resolve_telemetry
 from repro.parallel.pool import WorkerPool
 from repro.parallel.retry import IntegrityError, RetryPolicy
 from repro.parallel.seeds import multistart_seeds
 from repro.runtime.budget import Budget
 from repro.runtime.faults import maybe_fault_task
-from repro.solvers.qbp.iteration import BurkardResult, logger, solve_qbp
+from repro.solvers.qbp.iteration import (
+    BurkardResult,
+    check_solve_args,
+    logger,
+    solve_qbp,
+)
 from repro.utils.rng import RandomSource
 
 
 class MultistartError(RuntimeError):
-    """Every restart of :func:`solve_qbp_multistart` failed.
+    """No restart of :func:`solve_qbp_multistart` succeeded.
 
     The message aggregates **all** failing restart indices (also exposed
-    as :attr:`failed_indices`) and the per-restart detail as
-    :attr:`failures`; the *first* restart's original exception rides
-    along as ``__cause__`` when it is available in-process (serial
-    path), on the process-pool path the worker-side description is
-    embedded in the message instead.
+    as :attr:`failed_indices`) and carries the *first* failure's
+    description and traceback text, for every worker count; the
+    per-restart detail is :attr:`failures`.
     """
 
     def __init__(self, message: str, failures: Optional[List[Tuple[int, str]]] = None):
@@ -58,8 +58,9 @@ def _maybe_corrupt_result(
     When the (task, attempt)-scoped rule fires, the result claims better
     costs than its assignments actually earn - exactly the class of
     silent wrongness only the parent's integrity gate can catch, which
-    is what the chaos suite uses it to prove.  Sits on both the worker
-    and serial restart paths, so the gate is drilled in both.
+    is what the chaos suite uses it to prove.  Sits in the restart task,
+    which both of the pool's execution paths run, so the gate is drilled
+    in both.
     """
     try:
         maybe_fault_task("worker.corrupt", task, attempt)
@@ -123,11 +124,11 @@ def multistart_verifier(
 def _multistart_restart_task(payload, ctx):
     """Run one multistart restart (module-level so it crosses fork cleanly).
 
-    ``ctx.budget`` is this restart's lease under the shared multistart
-    budget; ``ctx.telemetry`` is the worker's own bundle (merged back by
-    the pool), so iteration events and ``solver.iterations`` counts from
-    parallel restarts land in the same combined stream a serial run
-    writes.
+    In a worker process ``ctx.budget`` is this restart's lease under the
+    shared multistart budget and ``ctx.telemetry`` the worker's own
+    bundle (merged back by the pool), so iteration events and
+    ``solver.iterations`` counts land in the same combined stream an
+    in-process run, which gets the caller's budget and bundle, writes.
     """
     problem, iterations, seed_seq, kwargs = payload
     result = solve_qbp(
@@ -139,11 +140,6 @@ def _multistart_restart_task(payload, ctx):
         **kwargs,
     )
     return _maybe_corrupt_result(result, ctx.worker_id, ctx.attempt)
-
-
-_SERIAL_ONLY_KWARGS = ("checkpointer", "resume")
-"""``solve_qbp`` kwargs that force the serial multistart path:
-checkpoint/resume state is a single file owned by one writer."""
 
 
 def solve_qbp_multistart(
@@ -172,46 +168,57 @@ def solve_qbp_multistart(
     Restarts draw from per-restart seed streams
     (:func:`repro.parallel.seeds.multistart_seeds`): restart ``k``'s RNG
     depends only on ``(seed, k)``, never on what earlier restarts
-    consumed.  That makes the restarts embarrassingly parallel -
-    ``workers > 1`` fans them out over a
-    :class:`~repro.parallel.pool.WorkerPool` (``None`` reads
-    ``REPRO_WORKERS``, default 1) and selects the **bit-identical** best
-    assignment the serial loop would pick: same per-restart seeds, same
-    ``(best_feasible_cost, penalized_cost)`` comparison, ties broken by
-    lowest restart index in both paths.  Restarts needing in-process
-    state (``checkpointer``, ``resume``) run serially regardless of
-    ``workers``.
+    consumed.  Every restart goes through one
+    :meth:`~repro.parallel.pool.WorkerPool.map` call (``workers=None``
+    reads ``REPRO_WORKERS``, default 1, which runs them in-process), and
+    the results are folded in restart order: same per-restart seeds,
+    same ``(best_feasible_cost, penalized_cost)`` comparison, ties to
+    the lowest restart index, so the best assignment is bit-identical
+    for every worker count.  ``checkpointer`` and ``resume`` name one
+    solve's state and need ``restarts == 1``.
 
-    A shared ``budget`` bounds the whole multi-start: serial restarts
-    stop when it runs out (the first restart always runs - it bails out
-    quickly on its own budget checks, so an already-expired budget still
-    yields a capacity-feasible incumbent), and parallel restarts each
-    hold a lease that one expiry/cancel signal revokes cooperatively.
+    A shared ``budget`` bounds the whole multi-start.  Restart 0 always
+    runs (it bails out quickly on its own budget checks, so an
+    already-expired budget still yields a capacity-feasible incumbent);
+    a later restart the pool does not start because the budget stopped
+    is not a failure, and sets the result's ``stop_reason`` to the
+    budget's reason.  Parallel restarts each hold a lease that one
+    expiry/cancel signal revokes cooperatively.
 
-    A restart that raises an unexpected exception is recorded (warning
-    log + ``FallbackEvent``) and the remaining restarts still run; only
-    argument errors (``ValueError``/``TypeError``) abort immediately.
+    A restart that fails is logged as a warning and recorded by the pool
+    (``FallbackEvent``); the remaining restarts still count.  Argument
+    errors are checked before the fan-out and raise ``ValueError``.
 
     Self-healing knobs (see ``docs/ROBUSTNESS.md``): ``task_timeout``
     arms the pool's hang watchdog, ``retry`` its backoff/quarantine
     ladder (both default to their ``REPRO_TASK_TIMEOUT`` /
     ``REPRO_TASK_RETRIES`` environment resolutions), and
-    ``verify=True`` (the default) re-derives every accepted restart's
-    claimed costs and feasibility from its assignments - on the worker
-    *and* serial paths - rejecting mismatches as ``integrity`` failures
-    instead of folding them in.  Verification costs one
-    :class:`ObjectiveEvaluator` build plus one cost evaluation per
-    restart, noise next to the restarts themselves.
+    ``verify=True`` (the default) re-derives every restart's claimed
+    costs and feasibility from its assignments, rejecting mismatches as
+    ``integrity`` failures instead of folding them in.  Verification
+    costs one :class:`ObjectiveEvaluator` build plus one cost evaluation
+    per restart, noise next to the restarts themselves.
 
     Raises
     ------
     MultistartError
-        When **every** restart failed.  The message aggregates all
-        failing restart indices; the first failure rides along as
-        ``__cause__`` rather than being masked by later ones.
+        When no restart succeeded.  The message aggregates all failing
+        restart indices and carries the first failure's description and
+        traceback.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if restarts > 1 and (
+        kwargs.get("checkpointer") is not None or kwargs.get("resume") is not None
+    ):
+        # A checkpoint records ONE solve's state; restarts would fight
+        # over the file.
+        raise ValueError("checkpointing requires restarts == 1")
+    check_solve_args(
+        iterations,
+        kwargs.get("eta_mode", "symmetric"),
+        kwargs.get("anchor_mode", "trajectory"),
+    )
     tel = resolve_telemetry(telemetry)
     seeds = multistart_seeds(seed, restarts)
     pool = WorkerPool(
@@ -222,140 +229,72 @@ def solve_qbp_multistart(
         task_timeout=task_timeout,
         retry=retry,
     )
-    verifier = multistart_verifier(problem) if verify else None
-    parallel = (
-        restarts > 1
-        and pool.uses_processes
-        and all(kwargs.get(key) is None for key in _SERIAL_ONLY_KWARGS)
-        and (budget is None or budget.check() is None)
-    )
-
-    fold_state: BestFold[BurkardResult] = BestFold(
-        key=lambda r: (r.best_feasible_cost, r.penalized_cost)
-    )
-    truncated: Optional[str] = None
-    failures: list = []  # (index, message, cause_or_None)
-
-    def fold(index: int, result: BurkardResult) -> None:
-        fold_state.offer(index, result)
-        best = fold_state.best
-        if tel.enabled:
-            tel.counter("solver.restarts").inc()
-            tel.emit(
-                RestartEvent(
-                    solver="qbp",
-                    index=index,
-                    restarts=restarts,
-                    best_cost=float(best.penalized_cost),
-                    best_feasible_cost=(
-                        float(best.best_feasible_cost)
-                        if np.isfinite(best.best_feasible_cost)
-                        else None
-                    ),
-                    stop_reason=result.stop_reason,
-                )
-            )
-
+    payloads = [
+        (problem, iterations, seeds[index], kwargs) for index in range(restarts)
+    ]
     span = tel.span(
         "qbp.multistart",
         restarts=restarts,
         iterations=iterations,
-        workers=pool.workers if parallel else 1,
+        workers=pool.workers,
     )
     with span:
-        if parallel:
-            payloads = [
-                (problem, iterations, seeds[index], kwargs)
-                for index in range(restarts)
-            ]
-            outcomes = pool.map(_multistart_restart_task, payloads, verify=verifier)
-            # Fold in restart order (fold_outcomes preserves submission
-            # order): RestartEvents carry the same running best a serial
-            # loop would report, and ties keep the lowest index.
-            fold_outcomes(
-                outcomes,
-                on_value=fold,
-                on_failure=lambda index, failure: failures.append(
-                    (index, failure.describe(), None)
-                ),
-            )
-        else:
-            for index in range(restarts):
-                if index > 0 and budget is not None:
-                    truncated = budget.check()
-                    if truncated is not None:
-                        break
-                try:
-                    result = solve_qbp(
-                        problem,
-                        iterations=iterations,
-                        seed=np.random.default_rng(seeds[index]),
-                        budget=budget,
-                        telemetry=telemetry,
-                        **kwargs,
+        outcomes = pool.map(
+            _multistart_restart_task,
+            payloads,
+            verify=multistart_verifier(problem) if verify else None,
+        )
+        # Fold in restart order: RestartEvents carry the running best and
+        # a strict ``<`` keeps the lowest index on ties.
+        best: Optional[BurkardResult] = None
+        best_key = best_index = None
+        truncated: Optional[str] = None
+        failures = []
+        for outcome in outcomes:
+            failure = outcome.failure
+            if failure is not None and failure.kind == "budget":
+                truncated = budget.check()  # a verdict, not a failure
+                continue
+            if failure is not None:
+                failures.append(failure)
+                logger.warning(
+                    "multistart restart %d/%d failed: %s: %s",
+                    outcome.index,
+                    restarts,
+                    failure.error_type,
+                    failure.message,
+                )
+                continue
+            result = outcome.value
+            key = (result.best_feasible_cost, result.penalized_cost)
+            if best is None or key < best_key:
+                best, best_key, best_index = result, key, outcome.index
+            if tel.enabled:
+                tel.counter("solver.restarts").inc()
+                tel.emit(
+                    RestartEvent(
+                        solver="qbp",
+                        index=outcome.index,
+                        restarts=restarts,
+                        best_cost=float(best.penalized_cost),
+                        best_feasible_cost=(
+                            float(best.best_feasible_cost)
+                            if np.isfinite(best.best_feasible_cost)
+                            else None
+                        ),
+                        stop_reason=result.stop_reason,
                     )
-                except (ValueError, TypeError):
-                    raise  # argument errors would fail every restart
-                except Exception as exc:
-                    failures.append(
-                        (index, f"{type(exc).__name__}: {exc}", exc)
-                    )
-                    logger.warning(
-                        "multistart restart %d/%d failed: %s: %s",
-                        index,
-                        restarts,
-                        type(exc).__name__,
-                        exc,
-                    )
-                    if tel.enabled:
-                        tel.counter("pool.task_failures").inc()
-                        tel.emit(
-                            FallbackEvent(
-                                ladder="qbp.multistart",
-                                rung=f"worker-{index}",
-                                try_index=0,
-                                status="error",
-                                elapsed_seconds=0.0,
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-                        )
-                    continue
-                result = _maybe_corrupt_result(result, index, 0)
-                if verifier is not None:
-                    try:
-                        verifier(result, None)
-                    except IntegrityError as exc:
-                        failures.append((index, f"IntegrityError: {exc}", exc))
-                        logger.warning(
-                            "multistart restart %d/%d rejected by the "
-                            "integrity gate: %s",
-                            index,
-                            restarts,
-                            exc,
-                        )
-                        if tel.enabled:
-                            tel.counter("pool.integrity_rejects").inc()
-                            tel.emit(
-                                IntegrityEvent(
-                                    pool="qbp.multistart",
-                                    task=index,
-                                    attempt=0,
-                                    reason=str(exc),
-                                )
-                            )
-                        continue
-                fold(index, result)
-        best, best_index = fold_state.result()
+                )
         if best is None:
-            first_index, first_message, first_cause = failures[0]
-            indices = ", ".join(str(i) for i, _, _ in failures)
-            error = MultistartError(
-                f"all {restarts} restart(s) failed (failing restarts: "
-                f"{indices}); first failure at restart {first_index}: "
-                f"{first_message}",
-                failures=[(i, message) for i, message, _ in failures],
+            described = [(f.index, f"{f.error_type}: {f.message}") for f in failures]
+            first_index, first_error = described[0]
+            raise MultistartError(
+                f"no restart of {restarts} succeeded (failing restarts: "
+                f"{', '.join(str(index) for index, _ in described)}); first "
+                f"failure at restart {first_index}: {first_error}"
+                + (f"\n{failures[0].traceback}" if failures[0].traceback else ""),
+                failures=described,
             )
-            raise error from first_cause
         span.set("best_restart", best_index)
     if truncated is not None:
         best.stop_reason = truncated

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.harness import run_table
+from repro.eval.harness import TableCheckpoint, run_table
 from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.parallel.pool import supports_process_pool
 from repro.parallel.retry import RetryPolicy
@@ -223,18 +223,38 @@ class TestTableChaos:
         assert (0, 0, "integrity") in retried
         assert (1, 0, "crash") in retried
 
-    def test_exhausted_worker_falls_back_to_serial_recompute(self):
-        # Quarantine does not lose the row: run_table retries the
-        # circuit serially in-process, so the table still fills in.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_quarantined_circuit_raises_then_resumes_identically(
+        self, tmp_path, workers
+    ):
+        # A circuit that exhausts the retry policy fails the sweep with an
+        # error naming it; the other circuit's row is already
+        # checkpointed, so a rerun without the fault only recomputes the
+        # quarantined one and matches the undisturbed rows exactly.
         reference = run_table(2, workers=1, **self.RUN)
         plan = parse_fault_plan("worker.retry:fail:tasks=0:attempts=*")
         with inject_faults(plan):
-            rows = run_table(
-                2,
-                workers=2,
-                retry=RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.02),
-                **self.RUN,
-            )
+            with pytest.raises(RuntimeError, match="ckta") as excinfo:
+                run_table(
+                    2,
+                    workers=workers,
+                    retry=RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.02),
+                    checkpoint_dir=tmp_path,
+                    **self.RUN,
+                )
+        message = str(excinfo.value)
+        assert "InjectedFault" in message and "Traceback" in message
+        assert "cktb" not in message
+        params = {
+            "scale": 0.1,
+            "qbp_iterations": 8,
+            "seed": 0,
+            "methods": ["qbp", "gfm", "gkl"],
+        }
+        checkpoint = TableCheckpoint(tmp_path, 2, params=params)
+        assert checkpoint.completed("ckta") is None
+        assert checkpoint.completed("cktb") is not None
+        rows = run_table(2, workers=workers, checkpoint_dir=tmp_path, **self.RUN)
         assert [self.fields(r) for r in rows] == [self.fields(r) for r in reference]
 
 

@@ -13,7 +13,6 @@ from repro.obs.telemetry import Telemetry
 from repro.parallel.pool import (
     DEFAULT_TIMEOUT_ENV,
     DEFAULT_WORKERS_ENV,
-    WorkerCrashError,
     WorkerPool,
     resolve_task_timeout,
     resolve_workers,
@@ -128,10 +127,6 @@ class TestSerialPath:
         assert outcomes[1].failure.error_type == "RuntimeError"
         assert "odd payload 1" in outcomes[1].failure.message
 
-    def test_strict_raises(self):
-        with pytest.raises(WorkerCrashError, match="odd payload"):
-            WorkerPool(workers=1).map(fail_on_odd, [0, 1], strict=True)
-
     def test_call_ordered_fault_plan_forces_serial(self):
         pool = WorkerPool(workers=4)
         plan = FaultPlan()
@@ -152,12 +147,6 @@ class TestSerialPath:
         budget = Budget(wall_seconds=10.0, clock=lambda: fake_now[0])
         pool = WorkerPool(workers=4, budget=budget)
         assert not pool.uses_processes
-
-    def test_first_success_skips_rest(self):
-        outcomes = WorkerPool(workers=1).map(instant, ["a", "b"], first_success=True)
-        assert outcomes[0].value == "a"
-        assert not outcomes[1].ok
-        assert outcomes[1].failure.error_type == "Skipped"
 
     def test_on_result_sees_successes(self):
         seen = []
@@ -215,18 +204,6 @@ class TestProcessPath:
         elapsed = time.monotonic() - t0
         assert elapsed < 5.0  # cooperative cancel, not the 10s task deadline
         assert all(o.value == "cancelled" for o in outcomes if o.ok)
-
-    def test_first_success_cancels_stragglers(self):
-        t0 = time.monotonic()
-        outcomes = WorkerPool(workers=2).map(
-            sleep_until_cancelled, ["fast", "slow"], first_success=True
-        )
-        elapsed = time.monotonic() - t0
-        # The fast task's success must cancel the slow one well before
-        # its 10-second deadline (the cancel event reaches its lease).
-        assert elapsed < 5.0
-        assert outcomes[0].value == "done"
-        assert outcomes[1].value in ("cancelled", None)
 
 
 class TestResolveTaskTimeout:
@@ -389,19 +366,6 @@ class TestProcessSelfHealing:
         assert [o.value for o in outcomes] == [7, 8]
         integrity = [e for e in tel.events() if getattr(e, "kind", "") == "integrity"]
         assert len(integrity) == 2
-
-    def test_first_success_with_hung_straggler(self):
-        # The winner's cancel cannot reach a wedged worker (it never
-        # checks its lease); only the watchdog can - the batch must not
-        # outlive the winner by more than the timeout.
-        pool = WorkerPool(workers=2, task_timeout=2.0)
-        t0 = time.monotonic()
-        outcomes = pool.map(wedge, ["fast", "wedge"], first_success=True)
-        elapsed = time.monotonic() - t0
-        assert elapsed < 15.0
-        assert outcomes[0].value == "fast"
-        failure = outcomes[1].failure
-        assert failure is not None and failure.kind == "hang"
 
     def test_failure_kinds_and_attempts_in_outcomes(self):
         pool = WorkerPool(workers=2, retry=QUICK_RETRY)

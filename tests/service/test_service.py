@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.telemetry import Telemetry
 from repro.service.executor import cacheable, execute_request
 from repro.service.jobs import QueueClosedError, QueueFullError
 from repro.service.request import SolveRequest
@@ -83,6 +84,34 @@ class TestCaching:
         assert status == "cached"
         assert cached == payload
         second.shutdown()
+
+
+class TestTelemetryDefault:
+    def test_default_bundle_keeps_metrics_but_no_spans_or_events(self, request_doc):
+        # A long-lived service must not grow with every solve: by default
+        # it keeps counters only, and counts exactly what a bundle that
+        # also records spans and events counts.
+        docs = [{**request_doc, "seed": seed, "restarts": 2} for seed in (1, 2, 3)]
+
+        def run(**kwargs) -> PartitionService:
+            service = PartitionService(executor_threads=1, workers=1, **kwargs)
+            service.start()
+            try:
+                for doc in docs:
+                    for _ in range(2):  # a fill, then a cache hit
+                        service.solve(SolveRequest.from_dict(doc), timeout=60)
+            finally:
+                service.shutdown()
+            return service
+
+        default = run()
+        traced = run(telemetry=Telemetry.enabled_default())
+        assert default.telemetry.tracer is None
+        assert default.telemetry.sinks == []
+        assert default.telemetry.events() == []
+        assert traced.telemetry.tracer.spans and traced.telemetry.events()
+        assert counters(default)["service.completed"] == len(docs)
+        assert counters(default) == counters(traced)
 
 
 class TestCoalescing:
