@@ -40,7 +40,7 @@ Failure taxonomy (``TaskFailure.kind``)
     - a silently wrong result never enters the fold.
 ``budget``
     A verdict, not a failure: the shared budget stopped before the task
-    started (serial path; task 0 always runs).
+    started (both paths; task 0 always runs).
 
 ``error``, ``crash``, ``hang``, and ``integrity`` failures are
 *retryable*: with a :class:`~repro.parallel.retry.RetryPolicy` the pool
@@ -462,6 +462,22 @@ class WorkerPool:
             on_result(state.outcome)
         return True
 
+    def _stopped_before_start(self, state: _TaskState) -> bool:
+        """Settle a task after the first as ``budget`` if the budget stopped."""
+        reason = self.budget.check() if self.budget is not None else None
+        if reason is None or state.index == 0:
+            return False
+        state.outcome = TaskOutcome(
+            state.index,
+            failure=TaskFailure(
+                state.index,
+                "BudgetExceeded",
+                f"budget {reason} before start",
+                kind="budget",
+            ),
+        )
+        return True
+
     # ------------------------------------------------------------------
     def _map_serial(self, fn, states, on_result, verify):
         tel = resolve_telemetry(self.telemetry)
@@ -469,17 +485,7 @@ class WorkerPool:
         for state in states:
             progress.update()
             index = state.index
-            reason = self.budget.check() if self.budget is not None else None
-            if reason is not None and index > 0:
-                state.outcome = TaskOutcome(
-                    index,
-                    failure=TaskFailure(
-                        index,
-                        "BudgetExceeded",
-                        f"budget {reason} before start",
-                        kind="budget",
-                    ),
-                )
+            if self._stopped_before_start(state):
                 continue
             while state.outcome is None:
                 if state.attempt > 0:
@@ -649,6 +655,8 @@ class WorkerPool:
                         retries.remove(next_state)
                     elif fresh:
                         next_state = fresh.popleft()
+                        if self._stopped_before_start(next_state):
+                            continue
                     else:
                         break
                     launch(next_state)

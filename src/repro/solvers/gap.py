@@ -18,11 +18,24 @@ This module reimplements the heuristic the paper cites (Martello & Toth,
    (cost, cost per unit size, size, residual-capacity weighted) and
    keeps the best feasible construction.
 3. **Improvement.**  Single-item reassignment passes: move any item to a
-   cheaper feasible partition until no such move exists.
+   cheaper feasible partition until no such move exists; then pairwise
+   exchange passes.
 
 A plain best-fit-decreasing feasibility fallback runs when every
 criterion fails; :class:`GapInfeasibleError` is raised only when that
 fails too.
+
+Each construction sorts every item's partitions by the measure once,
+best first, and keeps a pointer per item to its first feasible entry.
+Within one construction an item's feasible set only shrinks (residual
+capacities only fall, timing placements only forbid partitions, the
+static mask is fixed), so the pointer only moves forward, and the first
+two feasible entries of the list are exactly the best and second-best
+partitions that a fresh stable sort of the masked measure would give.
+That needs finite costs, which :func:`solve_gap` checks: a masked
+partition sorts as ``+inf``, and a fitting partition whose measure were
+``+inf`` too would tie with it.  The improvement passes skip, exactly,
+the items and pairs that cannot pass their move tests.
 """
 
 from __future__ import annotations
@@ -77,7 +90,7 @@ def solve_gap(
     ----------
     cost:
         ``M x N`` cost matrix ``c[i, j]`` (partition-major, matching the
-        paper's ``P``).
+        paper's ``P``).  Every entry must be finite.
     sizes:
         Item sizes (length ``N``).
     capacities:
@@ -112,6 +125,8 @@ def solve_gap(
     GapInfeasibleError
         If no criterion nor the feasibility fallback produced a full
         assignment.
+    ValueError
+        On malformed input, including a non-finite cost.
     """
     cost = np.asarray(cost, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
@@ -204,56 +219,79 @@ def _construct(
 ) -> Optional[np.ndarray]:
     """Regret-ordered MTHG construction; ``None`` when it dead-ends.
 
-    Uses a lazy max-heap over regrets: popped entries are revalidated
-    against the current residual capacities (and timing masks) and
-    pushed back when stale, which keeps each step O(M log N) instead of
+    ``ranked[j]`` lists item ``j``'s statically allowed partitions by
+    the measure, best first (ties to the lower index), and ``first[j]``
+    points at the first entry that still fits.  Fitting only ever gets
+    harder during a construction, so ``best_two`` moves the pointer
+    forward and scans on to the next fitting entry for the regret.
+
+    A lazy max-heap orders the items by regret: a popped entry is fresh
+    when its regret has not dropped and its cached partition is still
+    the item's first fitting one; a stale entry is pushed back with the
+    refreshed regret, which keeps each step O(M + log N) instead of
     rescanning all items.
     """
     m, n = cost.shape
     measure = _desirability(cost, sizes, criterion)
-    residual = capacities.astype(float).copy()
-    assignment = np.full(n, -1, dtype=int)
-    # allowed[j, i]: partition i does not violate any constraint between
+    if static is not None:
+        # Forbidden partitions sort last and are cut off the lists.
+        measure = np.where(static.T, measure, np.inf)
+    order = np.argsort(measure, axis=0, kind="stable")
+    ranked = order.T.tolist()
+    values = np.take_along_axis(measure, order, axis=0).T.tolist()
+    if static is not None:
+        counts = static.sum(axis=1).tolist()
+        ranked = [row[:c] for row, c in zip(ranked, counts)]
+    first = [0] * n
+    size = sizes.tolist()
+    residual = capacities.astype(float).tolist()
+    assignment = [-1] * n
+    # allowed[j][i]: partition i does not violate any constraint between
     # j and an already-placed partner.  Shrinks as placements happen.
-    allowed = np.ones((n, m), dtype=bool) if timing is not None else None
+    allowed = None
+    if timing is not None:
+        allowed = [[True] * m for _ in range(n)]
+        delay_rows = timing.delay.tolist()
+        delay_cols = timing.delay.T.tolist()
 
     def best_two(j: int):
         """(regret, best_i) for item j, or None if stuck."""
-        fits = sizes[j] <= residual + 1e-9
-        if allowed is not None:
-            fits = fits & allowed[j]
-        if static is not None:
-            fits = fits & static[j]
-        if not fits.any():
-            return None
-        vals = np.where(fits, measure[:, j], np.inf)
-        order = np.argsort(vals, kind="stable")
-        best_i = int(order[0])
-        if m > 1 and np.isfinite(vals[order[1]]):
-            regret = float(vals[order[1]] - vals[best_i])
+        row = ranked[j]
+        s = size[j]
+        allowed_j = None if allowed is None else allowed[j]
+        k = first[j]
+        end = len(row)
+        while k < end:
+            i = row[k]
+            if s <= residual[i] + 1e-9 and (allowed_j is None or allowed_j[i]):
+                break
+            k += 1
         else:
-            regret = np.inf
-        return regret, best_i
+            return None
+        first[j] = k
+        for q in range(k + 1, end):
+            i = row[q]
+            if s <= residual[i] + 1e-9 and (allowed_j is None or allowed_j[i]):
+                return values[j][q] - values[j][k], row[k]
+        return np.inf, row[k]
 
     def place(j: int, i: int) -> bool:
         """Commit item j to partition i; False if a partner gets stuck."""
         assignment[j] = i
-        residual[i] -= sizes[j]
+        residual[i] -= size[j]
         if timing is None:
             return True
-        delay = timing.delay
-        # Constraint (j -> k): delay[i, where k goes] must fit.
-        for k, bound in timing._out[j]:
-            if assignment[k] < 0:
-                allowed[k] &= delay[i, :] <= bound
-                if not allowed[k].any():
-                    return False
-        # Constraint (k -> j): delay[where k goes, i] must fit.
-        for k, bound in timing._in[j]:
-            if assignment[k] < 0:
-                allowed[k] &= delay[:, i] <= bound
-                if not allowed[k].any():
-                    return False
+        # Constraint (j -> k): delay[i, where k goes] must fit;
+        # constraint (k -> j): delay[where k goes, i] must fit.
+        for partners, delays in (
+            (timing._out[j], delay_rows[i]),
+            (timing._in[j], delay_cols[i]),
+        ):
+            for k, bound in partners:
+                if assignment[k] < 0:
+                    allowed[k] = [a and d <= bound for a, d in zip(allowed[k], delays)]
+                    if not any(allowed[k]):
+                        return False
         return True
 
     heap: List[tuple] = []
@@ -264,9 +302,8 @@ def _construct(
         regret, best_i = info
         # Negate regret for a max-heap; ties broken by larger size
         # (harder to place) and then index for determinism.
-        heapq.heappush(heap, (-regret, -sizes[j], j, best_i))
+        heapq.heappush(heap, (-regret, -size[j], j, best_i))
 
-    placed = 0
     pops = 0
     while heap:
         pops += 1
@@ -279,18 +316,18 @@ def _construct(
         if info is None:
             return None
         regret, best_i = info
-        cached_ok = sizes[j] <= residual[cached_i] + 1e-9 and (
-            allowed is None or allowed[j, cached_i]
-        ) and (static is None or static[j, cached_i])
-        if regret < -neg_regret - 1e-12 or not cached_ok:
+        # The cached partition was the first fitting entry when pushed,
+        # and the entries before it cannot fit again: it still fits
+        # exactly when it is still the first.
+        if regret < -neg_regret - 1e-12 or best_i != cached_i:
             # Stale entry: reinsert with the refreshed regret.
-            heapq.heappush(heap, (-regret, -sizes[j], j, best_i))
+            heapq.heappush(heap, (-regret, -size[j], j, best_i))
             continue
-        use_i = best_i if regret != -neg_regret else cached_i
-        if not place(j, int(use_i)):
+        if not place(j, best_i):
             return None
-        placed += 1
-    return assignment if placed == n else None
+    # An unplaced item always keeps an entry, so the heap empties only
+    # once every item is placed.
+    return np.array(assignment, dtype=int)
 
 
 def _best_fit_decreasing(
@@ -364,6 +401,10 @@ def _improve(
     (against all other items' current positions) are considered.  The
     assignment stays feasible at every step, so an exhausted ``budget``
     simply stops polishing (no exception).
+
+    Each pass visits, in index order, only the items with some partition
+    cheaper than their own: an item's own partition changes only when
+    the pass reaches it, and no other item can pass the move test.
     """
     m, n = cost.shape
     residual = capacities - np.bincount(assignment, weights=sizes, minlength=m)
@@ -371,8 +412,10 @@ def _improve(
     for _ in range(max_passes):
         if budget is not None and budget.check() is not None:
             break
+        own = cost[assignment, np.arange(n)]
+        movable = np.flatnonzero((cost < own - 1e-12).any(axis=0))
         changed = False
-        for j in range(n):
+        for j in movable.tolist():
             current = assignment[j]
             fits = sizes[j] <= residual + 1e-9
             fits[current] = True
@@ -416,10 +459,13 @@ def _exchange_improve(
     (cheapest first).  Exchanges must respect both destination
     capacities, the static mask, and - when ``timing`` is given - the
     pair's constraints against all other items' current positions.
+    Only the improving pairs ``j1 < j2`` are tested against the masks.
     """
     m, n = cost.shape
     if n < 2:
         return False
+    size = sizes.tolist()
+    cap = capacities.tolist()
     improved = False
     for _ in range(max_passes):
         if budget is not None and budget.check() is not None:
@@ -427,45 +473,50 @@ def _exchange_improve(
         part = assignment
         loads = np.bincount(part, weights=sizes, minlength=m)
         headroom = (capacities - loads)[part]  # per item, at its partition
-        pos_cost = cost[part, :]  # [j1, j2] = cost of item j2 at part[j1]
         own = cost[part, np.arange(n)]
-        # delta[j1, j2] = c(p2, j1) + c(p1, j2) - c(p1, j1) - c(p2, j2)
-        delta = pos_cost.T + pos_cost - own[:, None] - own[None, :]
-        size_diff = sizes[None, :] - sizes[:, None]  # s2 - s1
-        ok = (size_diff <= headroom[:, None] + 1e-9) & (
-            -size_diff <= headroom[None, :] + 1e-9
-        )
-        ok &= part[:, None] != part[None, :]
+        # delta[j1, j2] = c(p2, j1) + c(p1, j2) - c(p1, j1) - c(p2, j2),
+        # where cost[part, :][j1, j2] is the cost of item j2 at part[j1].
+        delta = cost[part, :]
+        delta = delta.T + delta
+        delta -= own[:, None]
+        delta -= own[None, :]
+        # Improving pairs in row-major order (a flat scan beats 2-D nonzero).
+        j1s, j2s = np.divmod(np.flatnonzero(delta < -1e-9), n)
+        upper = j1s < j2s
+        j1s, j2s = j1s[upper], j2s[upper]
+        size_diff = sizes[j2s] - sizes[j1s]
+        ok = (size_diff <= headroom[j1s] + 1e-9) & (-size_diff <= headroom[j2s] + 1e-9)
+        ok &= part[j1s] != part[j2s]
         if static is not None:
-            ok &= static[:, part].T & static[:, part]
-        ok &= np.triu(delta < -1e-9, k=1)
-        candidates = np.argwhere(ok)
-        if candidates.size == 0:
+            ok &= static[j2s, part[j1s]] & static[j1s, part[j2s]]
+        j1s, j2s = j1s[ok], j2s[ok]
+        if j1s.size == 0:
             break
-        order = np.argsort(delta[candidates[:, 0], candidates[:, 1]], kind="stable")
-        touched = np.zeros(n, dtype=bool)
+        order = np.argsort(delta[j1s, j2s], kind="stable")
+        where = part.tolist()
+        loads = loads.tolist()
+        touched = [False] * n
         changed = False
-        for j1, j2 in candidates[order]:
+        for j1, j2 in zip(j1s[order].tolist(), j2s[order].tolist()):
             if touched[j1] or touched[j2]:
                 continue
-            i1, i2 = int(part[j1]), int(part[j2])
+            i1, i2 = where[j1], where[j2]
             # Recheck capacity against the evolving loads.
-            if loads[i1] - sizes[j1] + sizes[j2] > capacities[i1] + 1e-9:
+            if loads[i1] - size[j1] + size[j2] > cap[i1] + 1e-9:
                 continue
-            if loads[i2] - sizes[j2] + sizes[j1] > capacities[i2] + 1e-9:
+            if loads[i2] - size[j2] + size[j1] > cap[i2] + 1e-9:
                 continue
-            if timing is not None and not _swap_timing_ok(
-                timing, part, int(j1), int(j2)
-            ):
+            if timing is not None and not _swap_timing_ok(timing, where, j1, j2):
                 continue
-            part[j1], part[j2] = i2, i1
-            loads[i1] += sizes[j2] - sizes[j1]
-            loads[i2] += sizes[j1] - sizes[j2]
+            where[j1], where[j2] = i2, i1
+            loads[i1] += size[j2] - size[j1]
+            loads[i2] += size[j1] - size[j2]
             touched[j1] = touched[j2] = True
             changed = True
             improved = True
         if not changed:
             break
+        part[:] = where
     return improved
 
 
@@ -500,4 +551,8 @@ def _validate(cost: np.ndarray, sizes: np.ndarray, capacities: np.ndarray):
         raise ValueError("sizes must be non-negative")
     if (capacities < 0).any():
         raise ValueError("capacities must be non-negative")
+    finite = np.isfinite(cost)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"cost must be finite, got cost[{i}, {j}] = {cost[i, j]}")
     return m, n

@@ -23,6 +23,9 @@ from repro.runtime.budget import Budget
 from repro.runtime.faults import FaultPlan, inject_faults
 
 
+needs_fork = pytest.mark.skipif(not supports_process_pool(), reason="platform lacks fork")
+
+
 # Task functions must be module-level so they cross the fork boundary.
 def square(payload, ctx):
     return payload * payload
@@ -204,6 +207,17 @@ class TestProcessPath:
         elapsed = time.monotonic() - t0
         assert elapsed < 5.0  # cooperative cancel, not the 10s task deadline
         assert all(o.value == "cancelled" for o in outcomes if o.ok)
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+def test_stopped_budget_starts_only_the_first_task(workers):
+    budget = Budget()
+    budget.cancel()
+    outcomes = WorkerPool(workers=workers, budget=budget).map(square, [0, 1, 2])
+    assert [o.ok for o in outcomes] == [True, False, False]
+    assert outcomes[0].value == 0
+    assert [o.failure.kind for o in outcomes[1:]] == ["budget", "budget"]
+    assert all(o.failure.message == "budget cancelled before start" for o in outcomes[1:])
 
 
 class TestResolveTaskTimeout:

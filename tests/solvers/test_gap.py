@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.runtime.budget import Budget
 from repro.solvers.gap import GapInfeasibleError, solve_gap
 
 
@@ -123,6 +124,21 @@ class TestValidation:
             solve_gap(np.zeros((2, 2)), np.array([-1.0, 1.0]), np.ones(2))
         with pytest.raises(ValueError):
             solve_gap(np.zeros((2, 2)), np.ones(2), np.array([-1.0, 1.0]))
+
+    def test_infinite_cost_rejected(self):
+        # Every masked value is +inf, so a sort cannot tell the fitting
+        # partition from the full one; the budget bounds a regression.
+        cost = np.array([[np.inf], [np.inf]])
+        with pytest.raises(ValueError, match=r"cost\[0, 0\] = inf"):
+            solve_gap(
+                cost, [2.0], [1.0, 5.0], criteria=("cost",), improve=False,
+                budget=Budget(wall_seconds=2),
+            )
+
+    def test_nan_cost_rejected(self):
+        cost = np.array([[1.0, 2.0], [3.0, np.nan]])
+        with pytest.raises(ValueError, match=r"cost\[1, 1\] = nan"):
+            solve_gap(cost, np.ones(2), np.full(2, 2.0), budget=Budget(wall_seconds=2))
 
     def test_unknown_criterion(self):
         with pytest.raises(ValueError, match="criterion"):

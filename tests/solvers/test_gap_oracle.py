@@ -1,0 +1,198 @@
+"""The production MTHG against the reference phases, bit for bit.
+
+:mod:`tests.solvers.gap_oracle` keeps the straightforward phases (a
+stable ``argsort`` per popped item, a scan of every item per shift pass,
+whole-matrix exchange masks).  Every instance here is solved by both,
+and the results must agree exactly: same assignment, same cost, same
+criterion, same ``improved`` flag.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.constraints import TimingIndex, timing_move_mask
+from repro.core.objective import ObjectiveEvaluator
+from repro.eval.workloads import build_workload
+from repro.solvers import gap
+from repro.solvers.gap import DEFAULT_CRITERIA, GapInfeasibleError, solve_gap
+from repro.solvers.qbp.formulation import IterationState, resolve_penalty
+from repro.timing.constraints import TimingConstraints
+
+from tests.solvers import gap_oracle
+from tests.solvers.gap_oracle import reference_solve_gap
+
+
+def outcome(solver, *args, **kwargs):
+    try:
+        return solver(*args, **kwargs)
+    except GapInfeasibleError:
+        return None
+
+
+def assert_same(cost, sizes, capacities, **kwargs):
+    """Both solvers agree exactly; returns the reference result (or None)."""
+    got = outcome(solve_gap, cost, sizes, capacities, **kwargs)
+    want = outcome(reference_solve_gap, cost, sizes, capacities, **kwargs)
+    if want is None:
+        assert got is None
+        return None
+    assert got is not None
+    assert np.array_equal(got.assignment, want.assignment)
+    assert got.cost == want.cost
+    assert got.criterion == want.criterion
+    assert got.improved == want.improved
+    return want
+
+
+def assert_same_constructions(cost, sizes, capacities, timing=None, static=None):
+    """Every criterion's construction agrees; returns how many completed."""
+    completed = 0
+    for criterion in DEFAULT_CRITERIA:
+        got = gap._construct(cost, sizes, capacities, criterion, timing, static)
+        want = gap_oracle._construct(cost, sizes, capacities, criterion, timing, static)
+        if want is None:
+            assert got is None, criterion
+            continue
+        assert got is not None, criterion
+        assert np.array_equal(got, want), criterion
+        completed += 1
+    return completed
+
+
+def random_instance(rng, *, rounded, integer_sizes, tight, masked):
+    m = int(rng.integers(1, 17))
+    n = int(rng.integers(1, 121))
+    cost = rng.uniform(-5.0, 20.0, (m, n))
+    if rounded:
+        cost = np.round(cost)  # many ties between partitions
+    if integer_sizes:
+        sizes = rng.integers(0, 6, n).astype(float)
+    else:
+        sizes = rng.uniform(0.1, 4.0, n)
+    slack = rng.uniform(1.0, 1.08) if tight else rng.uniform(1.3, 2.5)
+    capacities = rng.uniform(0.8, 1.2, m) * sizes.sum() / m * slack
+    mask = rng.random((m, n)) < 0.8 if masked else None
+    return cost, sizes, capacities, mask
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("tight", [False, True], ids=["loose", "tight"])
+@pytest.mark.parametrize("integer_sizes", [False, True], ids=["real", "integer"])
+@pytest.mark.parametrize("rounded", [False, True], ids=["distinct", "ties"])
+def test_random_instances(rounded, integer_sizes, tight, masked):
+    seed = 8 * rounded + 4 * integer_sizes + 2 * tight + masked
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        cost, sizes, capacities, mask = random_instance(
+            rng, rounded=rounded, integer_sizes=integer_sizes, tight=tight, masked=masked
+        )
+        assert_same(cost, sizes, capacities, allowed_mask=mask)
+        static = None if mask is None else mask.T.copy()
+        assert_same_constructions(cost, sizes, capacities, static=static)
+
+
+@pytest.mark.parametrize("criterion", DEFAULT_CRITERIA)
+def test_each_criterion_alone(criterion):
+    rng = np.random.default_rng(100)
+    for _ in range(8):
+        cost, sizes, capacities, mask = random_instance(
+            rng, rounded=True, integer_sizes=True, tight=True, masked=False
+        )
+        for improve in (False, True):
+            assert_same(cost, sizes, capacities, criteria=(criterion,), improve=improve)
+
+
+@pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_improvement_passes_from_random_starts(masked, timed):
+    # Few cost levels and little headroom: many tied improving moves and
+    # exchanges, most of them blocked by capacity.  The cost step runs
+    # from below the move tolerances to far above them.
+    rng = np.random.default_rng(200 + 2 * masked + timed)
+    for _ in range(25):
+        m = int(rng.integers(2, 9))
+        n = int(rng.integers(2, 80))
+        cost = rng.integers(0, 4, (m, n)) * rng.choice([1e-13, 1e-6, 1.0, 1e6])
+        sizes = rng.integers(1, 4, n).astype(float)
+        start = rng.integers(0, m, n)
+        capacities = np.bincount(start, weights=sizes, minlength=m) + rng.integers(0, 3, m)
+        static = None
+        if masked:
+            static = rng.random((n, m)) < 0.7
+            static[np.arange(n), start] = True
+        timing = None
+        if timed:
+            constraints = TimingConstraints(n)
+            for j1, j2 in rng.integers(0, n, (n, 2)):
+                if j1 != j2:
+                    constraints.add(j1, j2, float(rng.integers(1, 3)), symmetric=True)
+            timing = TimingIndex(constraints, rng.integers(0, 4, (m, m)).astype(float))
+        for phase in ("_improve", "_exchange_improve"):
+            got, want = start.copy(), start.copy()
+            improved = getattr(gap, phase)(got, cost, sizes, capacities, 4, timing, static)
+            expected = getattr(gap_oracle, phase)(
+                want, cost, sizes, capacities, 4, timing, static
+            )
+            assert improved == expected, phase
+            assert np.array_equal(got, want), phase
+
+
+def test_dead_ends_reach_the_best_fit_fallback():
+    # Near-exact packings: every regret construction can wedge while the
+    # best-fit fallback still packs.
+    rng = np.random.default_rng(0)
+    fallbacks = 0
+    for _ in range(2000):
+        m = int(rng.integers(2, 5))
+        n = int(rng.integers(3, 9))
+        sizes = rng.integers(1, 6, n).astype(float)
+        total = int(sizes.sum()) + int(rng.integers(0, 2))
+        capacities = rng.multinomial(total, np.full(m, 1.0 / m)).astype(float)
+        cost = np.round(rng.uniform(0.0, 10.0, (m, n)))
+        want = assert_same(cost, sizes, capacities)
+        if want is not None and want.criterion == "best_fit_fallback":
+            fallbacks += 1
+            if fallbacks == 5:
+                break
+    assert fallbacks == 5
+
+
+@pytest.mark.parametrize("scale", [0.1, 0.25])
+@pytest.mark.parametrize("name", ["ckta", "cktb", "cktc"])
+def test_timing_aware_on_eta_costs(name, scale):
+    workload = build_workload(name, scale=scale)
+    problem = workload.problem
+    state = IterationState(
+        problem, ObjectiveEvaluator(problem), resolve_penalty(problem, None), "symmetric"
+    )
+    sizes, capacities = problem.sizes(), problem.capacities()
+    n, m = problem.num_components, problem.num_partitions
+    rng = np.random.default_rng(1)
+    parts = [workload.reference.part] + [rng.integers(0, m, n) for _ in range(2)]
+    for part in parts:
+        cost = state.eta(np.asarray(part)).T
+        for in_construction in (True, False):
+            assert_same(
+                cost, sizes, capacities, timing=state.timing_index,
+                timing_in_construction=in_construction,
+            )
+        trust = timing_move_mask(problem.timing, state.D, workload.reference.part, m).T
+        trust[workload.reference.part, np.arange(n)] = True
+        assert_same(cost, sizes, capacities, allowed_mask=trust)
+        assert_same_constructions(cost, sizes, capacities, timing=state.timing_index)
+
+
+def test_some_timing_aware_constructions_complete():
+    # Guards the test above against comparing only dead ends.
+    workload = build_workload("cktb", scale=0.1)
+    problem = workload.problem
+    state = IterationState(
+        problem, ObjectiveEvaluator(problem), resolve_penalty(problem, None), "symmetric"
+    )
+    cost = state.eta(workload.reference.part).T
+    completed = assert_same_constructions(
+        cost, problem.sizes(), problem.capacities(), timing=state.timing_index
+    )
+    assert completed > 0
