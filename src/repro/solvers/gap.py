@@ -341,45 +341,60 @@ def _best_fit_decreasing(
 
     With ``timing``, placements additionally respect constraints against
     already-placed partners (most-constrained-first ordering by timing
-    degree, then size).
+    degree, then size).  Each item scans its partitions once, on plain
+    lists, keeping the fitting one with the most residual capacity
+    (ties to the lower cost, then the lower index).
     """
     m, n = cost.shape
-    residual = capacities.astype(float).copy()
-    assignment = np.full(n, -1, dtype=int)
-    allowed = np.ones((n, m), dtype=bool) if timing is not None else None
-
+    size = sizes.tolist()
+    residual = capacities.astype(float).tolist()
+    assignment = [-1] * n
+    cost_of = cost.T.tolist()  # cost_of[j][i] = cost[i, j]
+    static_of = None if static is None else static.tolist()
+    allowed = None
     if timing is not None:
-        degree = np.array([timing.degree(j) for j in range(n)])
-        order = sorted(range(n), key=lambda j: (-degree[j], -sizes[j], j))
+        allowed = [[True] * m for _ in range(n)]
+        delay_rows = timing.delay.tolist()
+        delay_cols = timing.delay.T.tolist()
+        degree = [timing.degree(j) for j in range(n)]
+        order = sorted(range(n), key=lambda j: (-degree[j], -size[j], j))
     else:
-        order = sorted(range(n), key=lambda j: (-sizes[j], j))
+        order = sorted(range(n), key=lambda j: (-size[j], j))
 
     for j in order:
-        mask = sizes[j] <= residual + 1e-9
-        if allowed is not None:
-            mask = mask & allowed[j]
-        if static is not None:
-            mask = mask & static[j]
-        fits = np.flatnonzero(mask)
-        if fits.size == 0:
+        s = size[j]
+        costs = cost_of[j]
+        allowed_j = None if allowed is None else allowed[j]
+        static_j = None if static_of is None else static_of[j]
+        choice = -1
+        for i in range(m):
+            if s > residual[i] + 1e-9:
+                continue
+            if allowed_j is not None and not allowed_j[i]:
+                continue
+            if static_j is not None and not static_j[i]:
+                continue
+            if (
+                choice < 0
+                or residual[i] > residual[choice]
+                or (residual[i] == residual[choice] and costs[i] < costs[choice])
+            ):
+                choice = i
+        if choice < 0:
             return None
-        # Most residual capacity first; break ties by cost then index.
-        choice = int(min(fits, key=lambda i: (-residual[i], cost[i, j], i)))
         assignment[j] = choice
-        residual[choice] -= sizes[j]
+        residual[choice] -= s
         if timing is not None:
-            delay = timing.delay
-            for k, budget in timing._out[j]:
-                if assignment[k] < 0:
-                    allowed[k] &= delay[choice, :] <= budget
-                    if not allowed[k].any():
-                        return None
-            for k, budget in timing._in[j]:
-                if assignment[k] < 0:
-                    allowed[k] &= delay[:, choice] <= budget
-                    if not allowed[k].any():
-                        return None
-    return assignment
+            for partners, delays in (
+                (timing._out[j], delay_rows[choice]),
+                (timing._in[j], delay_cols[choice]),
+            ):
+                for k, bound in partners:
+                    if assignment[k] < 0:
+                        allowed[k] = [a and d <= bound for a, d in zip(allowed[k], delays)]
+                        if not any(allowed[k]):
+                            return None
+    return np.array(assignment, dtype=int)
 
 
 # ----------------------------------------------------------------------

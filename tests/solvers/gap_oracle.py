@@ -7,9 +7,10 @@ every item in each shift pass, and whole-matrix masks for the exchange
 candidates.  :func:`reference_solve_gap` runs them in
 :func:`~repro.solvers.gap.solve_gap`'s order, so the production solver
 must return the same :class:`~repro.solvers.gap.GapResult` bit for bit.
+:func:`_best_fit_decreasing` is the whole-array form of the fallback:
+a fitting mask per item and a ``min`` over its fitting partitions.
 The phases the production module did not rewrite (the desirability
-measures, the best-fit fallback and the exact swap check) are imported
-from it.
+measures and the exact swap check) are imported from it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.solvers.gap import (
     DEFAULT_CRITERIA,
     GapInfeasibleError,
     GapResult,
-    _best_fit_decreasing,
     _desirability,
     _swap_timing_ok,
 )
@@ -304,3 +304,55 @@ def _exchange_improve(
         if not changed:
             break
     return improved
+
+
+def _best_fit_decreasing(
+    cost: np.ndarray,
+    sizes: np.ndarray,
+    capacities: np.ndarray,
+    timing=None,
+    static=None,
+) -> Optional[np.ndarray]:
+    """Feasibility-first fallback: largest items into the emptiest fit.
+
+    With ``timing``, placements additionally respect constraints against
+    already-placed partners (most-constrained-first ordering by timing
+    degree, then size).
+    """
+    m, n = cost.shape
+    residual = capacities.astype(float).copy()
+    assignment = np.full(n, -1, dtype=int)
+    allowed = np.ones((n, m), dtype=bool) if timing is not None else None
+
+    if timing is not None:
+        degree = np.array([timing.degree(j) for j in range(n)])
+        order = sorted(range(n), key=lambda j: (-degree[j], -sizes[j], j))
+    else:
+        order = sorted(range(n), key=lambda j: (-sizes[j], j))
+
+    for j in order:
+        mask = sizes[j] <= residual + 1e-9
+        if allowed is not None:
+            mask = mask & allowed[j]
+        if static is not None:
+            mask = mask & static[j]
+        fits = np.flatnonzero(mask)
+        if fits.size == 0:
+            return None
+        # Most residual capacity first; break ties by cost then index.
+        choice = int(min(fits, key=lambda i: (-residual[i], cost[i, j], i)))
+        assignment[j] = choice
+        residual[choice] -= sizes[j]
+        if timing is not None:
+            delay = timing.delay
+            for k, budget in timing._out[j]:
+                if assignment[k] < 0:
+                    allowed[k] &= delay[choice, :] <= budget
+                    if not allowed[k].any():
+                        return None
+            for k, budget in timing._in[j]:
+                if assignment[k] < 0:
+                    allowed[k] &= delay[:, choice] <= budget
+                    if not allowed[k].any():
+                        return None
+    return assignment

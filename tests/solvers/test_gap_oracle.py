@@ -139,6 +139,42 @@ def test_improvement_passes_from_random_starts(masked, timed):
             assert np.array_equal(got, want), phase
 
 
+@pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_best_fit_fallback_matches_reference(masked, timed):
+    # Integer sizes and capacities and rounded costs: residuals and
+    # costs tie often, so every tie-break of the choice is exercised.
+    rng = np.random.default_rng(300 + 2 * masked + timed)
+    placed = dead_ends = 0
+    for _ in range(80):
+        m = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 60))
+        cost = np.round(rng.uniform(0.0, 6.0, (m, n)))
+        sizes = rng.integers(1, 6, n).astype(float)
+        total = int(sizes.sum()) + int(rng.integers(0, 2 * m + 1))
+        capacities = rng.multinomial(total, np.full(m, 1.0 / m)).astype(float)
+        static = rng.random((n, m)) < 0.75 if masked else None
+        timing = None
+        if timed:
+            constraints = TimingConstraints(n)
+            for j1, j2 in rng.integers(0, n, (n // 2 + 1, 2)):
+                if j1 != j2:
+                    constraints.add(j1, j2, float(rng.integers(1, 4)))
+            timing = TimingIndex(constraints, rng.integers(0, 5, (m, m)).astype(float))
+        got = gap._best_fit_decreasing(cost, sizes, capacities, timing, static)
+        want = gap_oracle._best_fit_decreasing(cost, sizes, capacities, timing, static)
+        if want is None:
+            assert got is None
+            dead_ends += 1
+            continue
+        assert got is not None
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        placed += 1
+    assert placed > 0
+    assert dead_ends > 0
+
+
 def test_dead_ends_reach_the_best_fit_fallback():
     # Near-exact packings: every regret construction can wedge while the
     # best-fit fallback still packs.
