@@ -530,16 +530,18 @@ class DeltaCache:
         return moved_delta
 
     def apply_swap(self, j1: int, j2: int) -> float:
-        """Exchange two components; returns the exact objective delta."""
+        """Exchange two components; returns the exact objective delta.
+
+        The delta is the sum of the two moves' deltas: the second move
+        is priced after the first, so the wires between the pair are
+        counted at their final positions.
+        """
         i1, i2 = int(self.part[j1]), int(self.part[j2])
-        d = float(self.evaluator.swap_delta(self.part, j1, j2))
         if i1 == i2:
             return 0.0
         self.stats.swaps += 1
         # Two raw moves; loads net out exactly (each also counts as a move).
-        self.apply_move(j1, i2)
-        self.apply_move(j2, i1)
-        return d
+        return self.apply_move(j1, i2) + self.apply_move(j2, i1)
 
     # ------------------------------------------------------------------
     # Swap-specific queries (GKL)

@@ -36,6 +36,14 @@ That needs finite costs, which :func:`solve_gap` checks: a masked
 partition sorts as ``+inf``, and a fitting partition whose measure were
 ``+inf`` too would tie with it.  The improvement passes skip, exactly,
 the items and pairs that cannot pass their move tests.
+
+The exchange passes keep their improving pairs, with each pair's cost
+delta, from one pass to the next.  A delta reads only its two items'
+partitions and costs, so after a pass only the deltas in the rows and
+columns of the items it swapped can change.  Those alone are
+recomputed, with the same floating-point operations in the same order,
+so every kept and recomputed delta is the float a full rebuild would
+give.
 """
 
 from __future__ import annotations
@@ -419,41 +427,49 @@ def _improve(
 
     Each pass visits, in index order, only the items with some partition
     cheaper than their own: an item's own partition changes only when
-    the pass reaches it, and no other item can pass the move test.
+    the pass reaches it, and no other item can pass the move test.  An
+    item moves to the first fitting partition of least cost, so the
+    scan tests the fit of only the partitions cheaper than the best
+    found so far (its own partition never is).
     """
     m, n = cost.shape
-    residual = capacities - np.bincount(assignment, weights=sizes, minlength=m)
+    residual = (capacities - np.bincount(assignment, weights=sizes, minlength=m)).tolist()
+    part = assignment.tolist()
+    size = sizes.tolist()
+    cost_of = cost.T.tolist()  # cost_of[j][i] = cost[i, j]
+    cheapest = cost.min(axis=0, initial=np.inf).tolist()
+    static_of = None if static is None else static.tolist()
     any_improvement = False
     for _ in range(max_passes):
         if budget is not None and budget.check() is not None:
             break
-        own = cost[assignment, np.arange(n)]
-        movable = np.flatnonzero((cost < own - 1e-12).any(axis=0))
         changed = False
-        for j in movable.tolist():
-            current = assignment[j]
-            fits = sizes[j] <= residual + 1e-9
-            fits[current] = True
-            if static is not None:
-                fits &= static[j]
-                fits[current] = True
-            if timing is not None and timing.degree(j):
-                delay = timing.delay
-                for k, bound in timing._out[j]:
-                    fits &= delay[:, assignment[k]] <= bound
-                for k, bound in timing._in[j]:
-                    fits &= delay[assignment[k], :] <= bound
-                fits[current] = True  # staying put is always permitted
-            vals = np.where(fits, cost[:, j], np.inf)
-            target = int(np.argmin(vals))
-            if vals[target] < cost[current, j] - 1e-12:
-                assignment[j] = target
-                residual[current] += sizes[j]
-                residual[target] -= sizes[j]
+        for j in range(n):
+            current = part[j]
+            costs = cost_of[j]
+            best = costs[current] - 1e-12
+            if not cheapest[j] < best:
+                continue
+            s = size[j]
+            allowed_j = None if static_of is None else static_of[j]
+            target = -1
+            for i in range(m):
+                c = costs[i]
+                if c < best and s <= residual[i] + 1e-9:
+                    if allowed_j is not None and not allowed_j[i]:
+                        continue
+                    if timing is not None and not timing.move_is_feasible(part, j, i):
+                        continue
+                    best, target = c, i
+            if target >= 0:
+                part[j] = target
+                residual[current] += s
+                residual[target] -= s
                 changed = True
                 any_improvement = True
         if not changed:
             break
+    assignment[:] = part
     return any_improvement
 
 
@@ -469,12 +485,22 @@ def _exchange_improve(
 ) -> bool:
     """Pairwise exchange descent (Martello-Toth improvement, in place).
 
-    Per pass, compute the exact linear-cost delta of every item exchange
-    vectorised, then greedily apply non-overlapping improving exchanges
-    (cheapest first).  Exchanges must respect both destination
-    capacities, the static mask, and - when ``timing`` is given - the
-    pair's constraints against all other items' current positions.
-    Only the improving pairs ``j1 < j2`` are tested against the masks.
+    The exact linear-cost delta of exchanging items ``j1 < j2``, at
+    partitions ``p1`` and ``p2``, is ``((cost[p2, j1] + cost[p1, j2]) -
+    own[j1]) - own[j2]`` with ``own[j] = cost[part[j], j]``.  Each pass
+    greedily applies non-overlapping improving exchanges, cheapest
+    first (ties in row-major pair order).  Exchanges must respect both
+    destination capacities, the static mask, and - when ``timing`` is
+    given - the pair's constraints against all other items' current
+    positions.  Only the improving pairs are tested against the masks.
+
+    The first pass computes every pair's delta and keeps the improving
+    pairs with their deltas.  A delta reads only its two items'
+    partitions and costs, so a swap changes only the deltas in its two
+    items' rows and columns: each later pass drops the pairs of the
+    items the previous pass swapped and recomputes them with the same
+    operations in the same order, which gives the floats a full rebuild
+    would.
     """
     m, n = cost.shape
     if n < 2:
@@ -482,37 +508,52 @@ def _exchange_improve(
     size = sizes.tolist()
     cap = capacities.tolist()
     improved = False
+    part = assignment
+    moved = None
     for _ in range(max_passes):
         if budget is not None and budget.check() is not None:
             break
-        part = assignment
+        if moved is None:
+            own = cost[part, np.arange(n)]
+            j1s, j2s, deltas = _improving_exchanges(cost, part, own)
+        else:
+            own[moved] = cost[part[moved], moved]
+            # Row r holds moved[r]'s pairs: (a, c) right of the diagonal,
+            # (c, a) left of it, each in its own subtraction order.
+            pair_sum = cost[:, moved][part].T + cost[part[moved], :]
+            right = np.arange(n) > moved[:, None]
+            fresh = np.where(
+                right,
+                (pair_sum - own[moved, None]) - own,
+                (pair_sum - own) - own[moved, None],
+            )
+            hit = np.zeros(n, dtype=bool)
+            hit[moved] = True
+            kept = ~(hit[j1s] | hit[j2s])
+            # A pair of two moved items comes from its lower item's row.
+            rows, cols = np.divmod(np.flatnonzero((fresh < -1e-9) & (right | ~hit)), n)
+            mine = moved[rows]
+            j1s = np.concatenate((j1s[kept], np.minimum(mine, cols)))
+            j2s = np.concatenate((j2s[kept], np.maximum(mine, cols)))
+            deltas = np.concatenate((deltas[kept], fresh[rows, cols]))
         loads = np.bincount(part, weights=sizes, minlength=m)
         headroom = (capacities - loads)[part]  # per item, at its partition
-        own = cost[part, np.arange(n)]
-        # delta[j1, j2] = c(p2, j1) + c(p1, j2) - c(p1, j1) - c(p2, j2),
-        # where cost[part, :][j1, j2] is the cost of item j2 at part[j1].
-        delta = cost[part, :]
-        delta = delta.T + delta
-        delta -= own[:, None]
-        delta -= own[None, :]
-        # Improving pairs in row-major order (a flat scan beats 2-D nonzero).
-        j1s, j2s = np.divmod(np.flatnonzero(delta < -1e-9), n)
-        upper = j1s < j2s
-        j1s, j2s = j1s[upper], j2s[upper]
         size_diff = sizes[j2s] - sizes[j1s]
         ok = (size_diff <= headroom[j1s] + 1e-9) & (-size_diff <= headroom[j2s] + 1e-9)
         ok &= part[j1s] != part[j2s]
         if static is not None:
             ok &= static[j2s, part[j1s]] & static[j1s, part[j2s]]
-        j1s, j2s = j1s[ok], j2s[ok]
-        if j1s.size == 0:
+        firsts, seconds = j1s[ok], j2s[ok]
+        if firsts.size == 0:
             break
-        order = np.argsort(delta[j1s, j2s], kind="stable")
+        # Cheapest first, ties in row-major pair order (the kept and the
+        # recomputed pairs are not in that order).
+        order = np.lexsort((seconds, firsts, deltas[ok]))
         where = part.tolist()
         loads = loads.tolist()
         touched = [False] * n
-        changed = False
-        for j1, j2 in zip(j1s[order].tolist(), j2s[order].tolist()):
+        swapped = []
+        for j1, j2 in zip(firsts[order].tolist(), seconds[order].tolist()):
             if touched[j1] or touched[j2]:
                 continue
             i1, i2 = where[j1], where[j2]
@@ -527,12 +568,39 @@ def _exchange_improve(
             loads[i1] += size[j2] - size[j1]
             loads[i2] += size[j1] - size[j2]
             touched[j1] = touched[j2] = True
-            changed = True
-            improved = True
-        if not changed:
+            swapped += (j1, j2)
+        if not swapped:
             break
-        part[:] = where
+        improved = True
+        moved = np.array(swapped)
+        part[moved] = [where[j] for j in swapped]
     return improved
+
+
+def _improving_exchanges(cost: np.ndarray, part: np.ndarray, own: np.ndarray):
+    """Every exchange ``j1 < j2`` with delta below ``-1e-9``: ``(j1s, j2s, deltas)``.
+
+    Computed with the operations of :func:`_exchange_improve`'s formula
+    in its order, right of the diagonal only, over blocks of 64 rows so
+    that each block's arrays stay small.
+    """
+    n = part.size
+    by_item = cost.T  # by_item[j, i] = cost[i, j]
+    firsts, seconds, deltas = [], [], []
+    for lo in range(0, n - 1, 64):
+        hi = min(n, lo + 64)
+        # delta[a - lo, c - lo] for the pair (a, c), a in [lo, hi), c >= lo.
+        delta = np.take(by_item[lo:hi], part[lo:], axis=1)
+        delta += cost[part[lo:hi], lo:]
+        delta -= own[lo:hi, None]
+        delta -= own[lo:]
+        rows, cols = np.divmod(np.flatnonzero(delta < -1e-9), n - lo)
+        upper = cols > rows
+        rows, cols = rows[upper], cols[upper]
+        firsts.append(rows + lo)
+        seconds.append(cols + lo)
+        deltas.append(delta[rows, cols])
+    return np.concatenate(firsts), np.concatenate(seconds), np.concatenate(deltas)
 
 
 def _swap_timing_ok(timing, part, j1: int, j2: int) -> bool:

@@ -44,6 +44,21 @@ def repair_feasibility(
     as ``evaluator``, conflict-count ties between candidate moves are
     broken by objective delta, so the repaired solution stays close in
     cost to the input (used by the QBP iterate projection).
+
+    Each step makes these random draws from ``seed``, in order:
+
+    1. one ``integers`` call picks a component among those in
+       violation.  If none of its constraints is violated any more, it
+       is dropped and the step ends there, without counting a move;
+    2. one ``permutation(M)`` orders its candidate destinations;
+    3. when no move lowers its conflict count, :func:`_swap_step`
+       draws one ``random()`` per other partition, in partition order
+       (the ranking's tie-break), then one ``permutation`` of the
+       members of each partition it tries, in ranking order, skipping
+       empty ones;
+    4. when neither helped for more than 20 steps in a row, one
+       ``choice`` over the other partitions that fit the component
+       kicks it there (no draw when none fits).
     """
     part = problem.validate_assignment_shape(assignment.part).copy()
     if not problem.has_timing:
@@ -52,66 +67,54 @@ def repair_feasibility(
     rng = ensure_rng(seed)
     index = TimingIndex(problem.timing, problem.delay_matrix)
     sizes = problem.sizes()
-    capacities = problem.capacities()
+    size = sizes.tolist()
+    cap = problem.capacities().tolist()
     m = problem.num_partitions
-    loads = partition_loads(part, sizes, m)
+    loads = partition_loads(part, sizes, m).tolist()
     delay = problem.delay_matrix
     t_src, t_dst, t_budget = problem.timing.arrays()
-
-    # Per-component numpy views of the constraint lists, for vectorised
-    # conflict counting (the hot path of the whole repair).
-    out_arr = [
-        (
-            np.array([k for k, _ in index._out[j]], dtype=int),
-            np.array([b for _, b in index._out[j]], dtype=float),
-        )
-        for j in range(index.num_components)
-    ]
-    in_arr = [
-        (
-            np.array([k for k, _ in index._in[j]], dtype=int),
-            np.array([b for _, b in index._in[j]], dtype=float),
-        )
-        for j in range(index.num_components)
-    ]
-
-    def conflicts(j: int, at: int) -> int:
-        """Violated constraints touching j if j were at partition ``at``."""
-        ks, bs = out_arr[j]
-        count = int((delay[at, part[ks]] > bs).sum()) if ks.size else 0
-        ks, bs = in_arr[j]
-        if ks.size:
-            count += int((delay[part[ks], at] > bs).sum())
-        return count
-
-    def conflict_row(j: int) -> np.ndarray:
-        """Violation counts for every candidate partition at once."""
-        row = np.zeros(m, dtype=np.int64)
-        ks, bs = out_arr[j]
-        if ks.size:
-            row += (delay[:, part[ks]] > bs[None, :]).sum(axis=1)
-        ks, bs = in_arr[j]
-        if ks.size:
-            row += (delay[part[ks], :].T > bs[None, :]).sum(axis=1)
-        return row
-
-    def violating_components() -> list[int]:
-        """Components participating in any violated constraint (vectorised)."""
-        violated = delay[part[t_src], part[t_dst]] > t_budget
-        if not violated.any():
-            return []
-        hot = np.union1d(t_src[violated], t_dst[violated])
-        return hot.tolist()
-
+    rows, cols = delay.tolist(), delay.T.tolist()  # delay[a, b] = rows[a][b] = cols[b][a]
     initial_violated = (
         int((delay[part[t_src], part[t_dst]] > t_budget).sum()) if t_src.size else 0
     )
+    part = part.tolist()
+
+    def conflicts(j: int, at: int) -> int:
+        """Violated constraints touching j if j were at partition ``at``."""
+        count = 0
+        row = rows[at]
+        for k, bound in index._out[j]:
+            if row[part[k]] > bound:
+                count += 1
+        col = cols[at]
+        for k, bound in index._in[j]:
+            if col[part[k]] > bound:
+                count += 1
+        return count
+
+    def conflict_row(j: int) -> list:
+        """``conflicts(j, i)`` for every partition ``i``."""
+        counts = [0] * m
+        for k, bound in index._out[j]:
+            counts = [c + (d > bound) for c, d in zip(counts, cols[part[k]])]
+        for k, bound in index._in[j]:
+            counts = [c + (d > bound) for c, d in zip(counts, rows[part[k]])]
+        return counts
+
+    def violating_components() -> list[int]:
+        """Components participating in any violated constraint (vectorised)."""
+        at = np.array(part)
+        violated = delay[at[t_src], at[t_dst]] > t_budget
+        if not violated.any():
+            return []
+        return np.union1d(t_src[violated], t_dst[violated]).tolist()
+
     hot = violating_components()
     moves = 0
     stall = 0
     while hot and moves < max_moves:
         j = hot[int(rng.integers(0, len(hot)))]
-        here = int(part[j])
+        here = part[j]
         current = conflicts(j, here)
         if current == 0:
             # Stale entry (a partner's move resolved it); drop and go on.
@@ -120,13 +123,11 @@ def repair_feasibility(
         best_i, best_c = here, current
         best_delta = 0.0
         row = conflict_row(j)
-        fits = loads + sizes[j] <= capacities + 1e-9
-        order = rng.permutation(m)
-        for i in order:
-            i = int(i)
-            if i == here or not fits[i]:
+        s = size[j]
+        for i in rng.permutation(m).tolist():
+            if i == here or loads[i] + s > cap[i] + 1e-9:
                 continue
-            c = int(row[i])
+            c = row[i]
             if c > best_c:
                 continue
             delta = (
@@ -136,24 +137,21 @@ def repair_feasibility(
                 best_i, best_c, best_delta = i, c, delta
         if best_i != here:
             part[j] = best_i
-            loads[here] -= sizes[j]
-            loads[best_i] += sizes[j]
+            loads[here] -= s
+            loads[best_i] += s
             stall = 0
-        elif _swap_step(
-            j, part, loads, sizes, capacities, conflicts, index, rng
-        ):
+        elif _swap_step(j, part, loads, size, cap, conflicts, row, rng):
             stall = 0
         else:
             stall += 1
             if stall > 20:
                 # Local minimum: random capacity-feasible kick of j.
-                fits = np.flatnonzero(loads + sizes[j] <= capacities + 1e-9)
-                fits = fits[fits != here]
-                if fits.size:
+                fits = [i for i in range(m) if i != here and loads[i] + s <= cap[i] + 1e-9]
+                if fits:
                     target = int(rng.choice(fits))
                     part[j] = target
-                    loads[here] -= sizes[j]
-                    loads[target] += sizes[j]
+                    loads[here] -= s
+                    loads[target] += s
                 stall = 0
         moves += 1
         if moves % 64 == 0 or best_c == 0:
@@ -225,7 +223,7 @@ def feasible_merge(
     return Assignment(part, m)
 
 
-def _swap_step(j, part, loads, sizes, capacities, conflicts, index, rng) -> bool:
+def _swap_step(j, part, loads, size, cap, conflicts, counts, rng) -> bool:
     """Try to reduce ``j``'s conflicts by swapping with another component.
 
     Handles the case where ``j``'s best destination is capacity-blocked:
@@ -233,36 +231,35 @@ def _swap_step(j, part, loads, sizes, capacities, conflicts, index, rng) -> bool
     block.  Applies the first swap that strictly reduces the two
     components' combined conflict count (evaluated post-swap) while
     keeping both capacities satisfied; returns whether a swap happened.
+    ``counts[i]`` is ``conflicts(j, i)`` for every partition ``i``; a
+    rejected trial swap is undone before the next, so it stays valid.
     """
-    here = int(part[j])
-    m = capacities.size
-    current_j = conflicts(j, here)
+    here = part[j]
+    current_j = counts[here]
     # Partitions ranked by how conflict-free they'd be for j.
     ranking = sorted(
-        (i for i in range(m) if i != here),
-        key=lambda i: (conflicts(j, i), rng.random()),
+        (i for i in range(len(cap)) if i != here),
+        key=lambda i: (counts[i], rng.random()),
     )
     for i in ranking[:4]:
-        gain_target = conflicts(j, i)
-        if gain_target >= current_j:
+        if counts[i] >= current_j:
             break
-        members = np.flatnonzero(part == i)
-        if members.size == 0:
+        members = [k for k, at in enumerate(part) if at == i]
+        if not members:
             continue
-        members = members[rng.permutation(members.size)]
-        for k in members[:8]:
-            k = int(k)
-            if loads[i] - sizes[k] + sizes[j] > capacities[i] + 1e-9:
+        for r in rng.permutation(len(members))[:8].tolist():
+            k = members[r]
+            if loads[i] - size[k] + size[j] > cap[i] + 1e-9:
                 continue
-            if loads[here] - sizes[j] + sizes[k] > capacities[here] + 1e-9:
+            if loads[here] - size[j] + size[k] > cap[here] + 1e-9:
                 continue
             before = current_j + conflicts(k, i)
             # Evaluate after-positions with the swap applied.
             part[j], part[k] = i, here
             after = conflicts(j, i) + conflicts(k, here)
             if after < before:
-                loads[i] += sizes[j] - sizes[k]
-                loads[here] += sizes[k] - sizes[j]
+                loads[i] += size[j] - size[k]
+                loads[here] += size[k] - size[j]
                 return True
             part[j], part[k] = here, i
     return False

@@ -4,7 +4,8 @@
 stable ``argsort`` per popped item, a scan of every item per shift pass,
 whole-matrix exchange masks).  Every instance here is solved by both,
 and the results must agree exactly: same assignment, same cost, same
-criterion, same ``improved`` flag.
+criterion, same ``improved`` flag.  The last test builds the full-size
+Table II shared start both ways, comparing every GAP outcome on the way.
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ import pytest
 
 from repro.core.constraints import TimingIndex, timing_move_mask
 from repro.core.objective import ObjectiveEvaluator
-from repro.eval.workloads import build_workload
-from repro.solvers import gap
+from repro.eval.harness import shared_initial_solution
+from repro.eval.workloads import BASE_SEED, build_workload
+from repro.solvers import gap, repair
 from repro.solvers.gap import DEFAULT_CRITERIA, GapInfeasibleError, solve_gap
+from repro.solvers.qbp import iteration
 from repro.solvers.qbp.formulation import IterationState, resolve_penalty
 from repro.timing.constraints import TimingConstraints
 
-from tests.solvers import gap_oracle
+from tests.solvers import gap_oracle, repair_oracle
 from tests.solvers.gap_oracle import reference_solve_gap
 
 
@@ -104,39 +107,80 @@ def test_each_criterion_alone(criterion):
             assert_same(cost, sizes, capacities, criteria=(criterion,), improve=improve)
 
 
+def random_start(rng, *, masked, timed):
+    """A random assignment with little headroom and its GAP data.
+
+    Few cost levels: many tied improving moves and exchanges, most of
+    them blocked by capacity.  The cost step runs from below the move
+    tolerances to far above them.
+    """
+    m = int(rng.integers(2, 9))
+    n = int(rng.integers(2, 80))
+    cost = rng.integers(0, 4, (m, n)) * rng.choice([1e-13, 1e-6, 1.0, 1e6])
+    sizes = rng.integers(1, 4, n).astype(float)
+    start = rng.integers(0, m, n)
+    capacities = np.bincount(start, weights=sizes, minlength=m) + rng.integers(0, 3, m)
+    static = None
+    if masked:
+        static = rng.random((n, m)) < 0.7
+        static[np.arange(n), start] = True
+    timing = None
+    if timed:
+        constraints = TimingConstraints(n)
+        for j1, j2 in rng.integers(0, n, (n, 2)):
+            if j1 != j2:
+                constraints.add(j1, j2, float(rng.integers(1, 3)), symmetric=True)
+        timing = TimingIndex(constraints, rng.integers(0, 4, (m, m)).astype(float))
+    return start, (cost, sizes, capacities, 4, timing, static)
+
+
+def assert_same_improvement(start, args):
+    """Both improvement phases agree with the reference from ``start``."""
+    for phase in ("_improve", "_exchange_improve"):
+        got, want = start.copy(), start.copy()
+        improved = getattr(gap, phase)(got, *args)
+        expected = getattr(gap_oracle, phase)(want, *args)
+        assert improved == expected, phase
+        assert np.array_equal(got, want), phase
+
+
+def swapping_passes(start, args) -> int:
+    """How many passes of the reference exchange descent swap something."""
+    cost, sizes, capacities, _, timing, static = args
+    last = start
+    for passes in range(1, 5):
+        now = start.copy()
+        gap_oracle._exchange_improve(now, cost, sizes, capacities, passes, timing, static)
+        if np.array_equal(now, last):
+            return passes - 1
+        last = now
+    return 4
+
+
 @pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
 @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
 def test_improvement_passes_from_random_starts(masked, timed):
-    # Few cost levels and little headroom: many tied improving moves and
-    # exchanges, most of them blocked by capacity.  The cost step runs
-    # from below the move tolerances to far above them.
     rng = np.random.default_rng(200 + 2 * masked + timed)
     for _ in range(25):
-        m = int(rng.integers(2, 9))
-        n = int(rng.integers(2, 80))
-        cost = rng.integers(0, 4, (m, n)) * rng.choice([1e-13, 1e-6, 1.0, 1e6])
-        sizes = rng.integers(1, 4, n).astype(float)
-        start = rng.integers(0, m, n)
-        capacities = np.bincount(start, weights=sizes, minlength=m) + rng.integers(0, 3, m)
-        static = None
-        if masked:
-            static = rng.random((n, m)) < 0.7
-            static[np.arange(n), start] = True
-        timing = None
-        if timed:
-            constraints = TimingConstraints(n)
-            for j1, j2 in rng.integers(0, n, (n, 2)):
-                if j1 != j2:
-                    constraints.add(j1, j2, float(rng.integers(1, 3)), symmetric=True)
-            timing = TimingIndex(constraints, rng.integers(0, 4, (m, m)).astype(float))
-        for phase in ("_improve", "_exchange_improve"):
-            got, want = start.copy(), start.copy()
-            improved = getattr(gap, phase)(got, cost, sizes, capacities, 4, timing, static)
-            expected = getattr(gap_oracle, phase)(
-                want, cost, sizes, capacities, 4, timing, static
-            )
-            assert improved == expected, phase
-            assert np.array_equal(got, want), phase
+        assert_same_improvement(*random_start(rng, masked=masked, timed=timed))
+
+
+@pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_improvement_passes_on_transposed_costs(masked, timed):
+    # The costs come as the transposed view of an item-major array, the
+    # way solve_qbp passes eta.T.  The exchange descent carries its
+    # improving pairs across passes, so some instances must swap in at
+    # least three passes.
+    rng = np.random.default_rng(400 + 2 * masked + timed)
+    deep = 0
+    for _ in range(25):
+        start, (cost, *rest) = random_start(rng, masked=masked, timed=timed)
+        args = (np.ascontiguousarray(cost.T).T, *rest)
+        assert args[0].flags.f_contiguous and not args[0].flags.c_contiguous
+        assert_same_improvement(start, args)
+        deep += swapping_passes(start, args) >= 3
+    assert deep > 0
 
 
 @pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
@@ -173,6 +217,13 @@ def test_best_fit_fallback_matches_reference(masked, timed):
         placed += 1
     assert placed > 0
     assert dead_ends > 0
+
+
+def test_empty_instances():
+    # No items, with and without partitions: nothing to place or improve.
+    for m in (0, 2):
+        result = assert_same(np.zeros((m, 0)), [], np.ones(m))
+        assert result.assignment.size == 0 and result.cost == 0.0
 
 
 def test_dead_ends_reach_the_best_fit_fallback():
@@ -232,3 +283,47 @@ def test_some_timing_aware_constructions_complete():
         cost, problem.sizes(), problem.capacities(), timing=state.timing_index
     )
     assert completed > 0
+
+
+def recording_rung(solver, log):
+    """A stand-in for the QBP iteration's ``solve_gap`` that logs each outcome."""
+
+    def rung(cost, sizes, capacities, **kwargs):
+        try:
+            result = solver(cost, sizes, capacities, **kwargs)
+        except GapInfeasibleError:
+            log.append(None)
+            raise
+        log.append((result.assignment.tolist(), result.cost, result.criterion, result.improved))
+        return result
+
+    return rung
+
+
+def test_full_size_shared_start_matches_reference(monkeypatch):
+    # The shared start of the full-size cktb twin (Table II's protocol at
+    # Table I's seed, solver seed 0): 40 zero-B Burkard iterations, each
+    # with two GAP solves at N=357, then the min-conflicts repair.  Every
+    # GAP outcome along the way must match too, not only the start.
+    workload = build_workload("cktb", scale=1.0, seed=BASE_SEED)
+    got_log, want_log = [], []
+    monkeypatch.setattr(iteration, "solve_gap", recording_rung(solve_gap, got_log))
+    got = shared_initial_solution(workload, seed=0)
+
+    def reference(cost, sizes, capacities, *, budget=None, **kwargs):
+        return reference_solve_gap(cost, sizes, capacities, **kwargs)
+
+    repairs = []
+
+    def reference_repair(*args, **kwargs):
+        repairs.append(args)
+        return repair_oracle.repair_feasibility(*args, **kwargs)
+
+    monkeypatch.setattr(iteration, "solve_gap", recording_rung(reference, want_log))
+    monkeypatch.setattr(repair, "repair_feasibility", reference_repair)
+    want = shared_initial_solution(workload, seed=0)
+    assert want_log and repairs
+    for call, (got_outcome, want_outcome) in enumerate(zip(got_log, want_log)):
+        assert got_outcome == want_outcome, f"GAP call {call}"
+    assert len(got_log) == len(want_log)
+    assert np.array_equal(got.part, want.part)
