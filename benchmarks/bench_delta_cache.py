@@ -54,7 +54,9 @@ def move_sequence(problem, initial, rng):
     while len(moves) < MOVES:
         j = int(rng.integers(0, problem.num_components))
         i = int(rng.integers(0, problem.num_partitions))
-        if i == int(cache.part[j]) or not cache.capacity.move_fits(j, i):
+        if i == int(cache.part[j]):
+            continue
+        if cache.loads[i] + cache.sizes[j] > cache.capacities[i] + 1e-9:
             continue
         cache.apply_move(j, i)
         moves.append((j, i))

@@ -22,7 +22,6 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.generate import ClusteredCircuitSpec, generate_clustered_circuit
 from repro.runtime.budget import Budget, BudgetExceededError
 from repro.runtime.checkpoint import QbpCheckpointer
-from repro.runtime.supervisor import SolverSupervisor
 from repro.solvers.burkard import bootstrap_initial_solution, solve_qbp
 from repro.timing.constraints import TimingConstraints
 from repro.topology.grid import grid_topology
@@ -36,7 +35,6 @@ __all__ = [
     "ObjectiveEvaluator",
     "PartitioningProblem",
     "QbpCheckpointer",
-    "SolverSupervisor",
     "TimingConstraints",
     "__version__",
     "bootstrap_initial_solution",

@@ -152,18 +152,6 @@ class TimingIndex:
                 return False
         return True
 
-    def violated_by(self, part: np.ndarray, j: int) -> int:
-        """Number of constraints touching ``j`` violated under ``part``."""
-        delay = self.delay
-        count = 0
-        for k, budget in self._out[j]:
-            if delay[part[j], part[k]] > budget:
-                count += 1
-        for k, budget in self._in[j]:
-            if delay[part[k], part[j]] > budget:
-                count += 1
-        return count
-
 
 def timing_move_mask(
     constraints: TimingConstraints, delay_matrix: np.ndarray, anchor: Sequence[int], num_partitions: int
@@ -216,19 +204,6 @@ class CapacityTracker:
         tracker = cls(sizes, capacities)
         tracker.loads = partition_loads(assignment, tracker.sizes, tracker.capacities.size)
         return tracker
-
-    def move_fits(self, j: int, new_i: int) -> bool:
-        """Would moving component ``j`` into ``new_i`` respect C1 there?"""
-        return self.loads[new_i] + self.sizes[j] <= self.capacities[new_i] + 1e-9
-
-    def swap_fits(self, j1: int, i1: int, j2: int, i2: int) -> bool:
-        """Would exchanging ``j1``@``i1`` and ``j2``@``i2`` respect C1?"""
-        if i1 == i2:
-            return True
-        s1, s2 = self.sizes[j1], self.sizes[j2]
-        fits1 = self.loads[i1] - s1 + s2 <= self.capacities[i1] + 1e-9
-        fits2 = self.loads[i2] - s2 + s1 <= self.capacities[i2] + 1e-9
-        return bool(fits1 and fits2)
 
     def apply_move(self, j: int, old_i: int, new_i: int) -> None:
         """Record that component ``j`` moved from ``old_i`` to ``new_i``."""

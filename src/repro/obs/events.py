@@ -6,8 +6,9 @@ of ad-hoc callbacks:
 * :class:`IterationEvent` - one Burkard iteration / FM pass / KL outer
   loop / annealing temperature step, with the incumbent trajectory,
 * :class:`RestartEvent` - one multistart restart boundary,
-* :class:`FallbackEvent` - one failed (or skipped) rung try inside a
-  :class:`~repro.runtime.supervisor.SolverSupervisor` ladder,
+* :class:`FallbackEvent` - one failed (or skipped) rung try of a
+  fallback ladder (:class:`~repro.runtime.supervisor.RungTry`), or one
+  failed worker-pool task,
 * :class:`CheckpointEvent` - one checkpoint file write (or salvage of a
   damaged one),
 * :class:`TaskRetryEvent` - one failed pool-task attempt that will be
@@ -85,7 +86,7 @@ class RestartEvent:
 
 @dataclass(frozen=True)
 class FallbackEvent:
-    """One non-ok rung try inside a supervised fallback ladder."""
+    """One non-ok rung try of a fallback ladder."""
 
     ladder: str
     rung: str

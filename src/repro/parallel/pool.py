@@ -777,7 +777,7 @@ class WorkerPool:
                 self._emit_failure(tel, failure)
 
     def _emit_failure(self, tel: Telemetry, failure: TaskFailure) -> None:
-        """SolverSupervisor-shaped audit record for one failed task."""
+        """Fallback-ladder-shaped audit record for one failed task."""
         if not tel.enabled:
             return
         tel.counter("pool.task_failures").inc()

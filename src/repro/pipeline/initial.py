@@ -24,11 +24,7 @@ from typing import Optional, Tuple
 from repro.core.assignment import Assignment
 from repro.core.problem import PartitioningProblem
 from repro.runtime.budget import Budget, BudgetExceededError
-from repro.runtime.supervisor import (
-    Attempt,
-    SolverSupervisor,
-    SupervisorExhaustedError,
-)
+from repro.runtime.supervisor import RungTry
 from repro.solvers.burkard import bootstrap_initial_solution
 from repro.solvers.greedy import greedy_feasible_assignment
 from repro.solvers.repair import repair_feasibility
@@ -53,45 +49,43 @@ def supervised_initial_solution(
     plain greedy placement (capacity-feasible only - timing violations
     possible, but the partitioner still has *something* to improve).
     Returns the assignment and the name of the rung that produced it;
-    raises :class:`InitialSolutionError` if every rung fails.  ``name``
-    labels the supervisor's telemetry events (callers keep their
-    historical labels: ``partition.initial``, ``service.initial``).
+    raises :class:`InitialSolutionError`, naming each rung and its
+    error, if every rung fails.  ``name`` labels the ladder's telemetry
+    (callers keep their historical labels: ``partition.initial``,
+    ``service.initial``).
     """
 
-    def qbp_bootstrap(attempt_budget: Optional[Budget]) -> Assignment:
-        return bootstrap_initial_solution(problem, seed=seed, budget=attempt_budget)
+    def qbp_bootstrap() -> Assignment:
+        return bootstrap_initial_solution(problem, seed=seed, budget=budget)
 
-    def repaired_greedy(attempt_budget: Optional[Budget]) -> Assignment:
+    def repaired_greedy() -> Assignment:
         base = greedy_feasible_assignment(problem, seed=seed)
         repaired = repair_feasibility(problem, base, seed=seed)
         if repaired is None:
             raise RuntimeError("min-conflicts repair exhausted its move budget")
         return repaired
 
-    def greedy_capacity_only(attempt_budget: Optional[Budget]) -> Assignment:
+    def greedy_capacity_only() -> Assignment:
         return greedy_feasible_assignment(problem, seed=seed)
 
-    supervisor = SolverSupervisor(
-        [
-            Attempt("qbp-bootstrap", qbp_bootstrap),
-            Attempt("greedy+repair", repaired_greedy),
-            Attempt("greedy-capacity-only", greedy_capacity_only),
-        ],
-        transient=(RuntimeError,),
-        budget=budget,
-        name=name,
-    )
+    failures = []
     try:
-        outcome = supervisor.run()
+        for rung, build in (
+            ("qbp-bootstrap", qbp_bootstrap),
+            ("greedy+repair", repaired_greedy),
+            ("greedy-capacity-only", greedy_capacity_only),
+        ):
+            with RungTry(name, rung, RuntimeError, budget=budget) as attempt:
+                return build(), rung
+            failures.append(f"{rung} ({attempt.error})")
     except BudgetExceededError:
         # Budget gone before any rung finished: fall back to the cheap
-        # constructor outside supervision so the caller still gets a start.
+        # constructor outside the ladder so the caller still gets a start.
         return greedy_feasible_assignment(problem, seed=seed), "greedy-capacity-only"
-    except SupervisorExhaustedError as exc:
-        raise InitialSolutionError(
-            f"no initial solution could be constructed: {exc}"
-        ) from exc
-    return outcome.value, outcome.attempt
+    raise InitialSolutionError(
+        "no initial solution could be constructed; every rung failed: "
+        + "; ".join(failures)
+    )
 
 
 def paper_initial_solution(
@@ -110,32 +104,25 @@ def paper_initial_solution(
     feasibility; ``reference`` (feasible by construction) then stands
     in, playing the same role as the designer's initial assignment in
     the MCM flow.  An exhausted ``budget`` also falls through to the
-    reference so callers always get *some* feasible start.
+    reference so callers always get *some* feasible start.  The ladder's
+    telemetry is labelled ``paper.initial``.
     """
 
-    def paper_bootstrap(attempt_budget: Optional[Budget]) -> Assignment:
+    def paper_bootstrap() -> Assignment:
         return bootstrap_initial_solution(
-            problem,
-            iterations=bootstrap_iterations,
-            seed=seed,
-            budget=attempt_budget,
+            problem, iterations=bootstrap_iterations, seed=seed, budget=budget
         )
 
-    def reference_fallback(attempt_budget: Optional[Budget]) -> Assignment:
-        return reference.copy()
-
-    supervisor = SolverSupervisor(
-        [
-            Attempt("paper-bootstrap", paper_bootstrap),
-            Attempt("reference-fallback", reference_fallback),
-        ],
-        transient=(RuntimeError,),
-        budget=budget,
-    )
     try:
-        return supervisor.run().value
-    except (BudgetExceededError, SupervisorExhaustedError):
-        return reference.copy()
+        for rung, build in (
+            ("paper-bootstrap", paper_bootstrap),
+            ("reference-fallback", reference.copy),
+        ):
+            with RungTry("paper.initial", rung, RuntimeError, budget=budget):
+                return build()
+    except BudgetExceededError:
+        pass
+    return reference.copy()
 
 
 __all__ = [

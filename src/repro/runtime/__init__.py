@@ -5,8 +5,8 @@ total runtime") made operational:
 
 * :mod:`repro.runtime.budget` - wall-clock deadlines, iteration caps,
   cooperative cancellation, and the shared ``stop_reason`` vocabulary,
-* :mod:`repro.runtime.supervisor` - audited retry/fallback ladders
-  replacing ad-hoc ``try/except`` chains,
+* :mod:`repro.runtime.supervisor` - :class:`RungTry`, one observed try
+  of one rung of a plain-loop fallback ladder,
 * :mod:`repro.runtime.checkpoint` - atomic JSON snapshots so killed
   runs resume mid-circuit with bit-exact results,
 * :mod:`repro.runtime.faults` - deterministic fault injection used by
@@ -50,17 +50,9 @@ from repro.runtime.faults import (
     plan_from_env,
 )
 from repro.runtime.signals import drain_on_signals
-from repro.runtime.supervisor import (
-    Attempt,
-    AttemptRecord,
-    SolverSupervisor,
-    SupervisorExhaustedError,
-    SupervisorOutcome,
-)
+from repro.runtime.supervisor import RungTry
 
 __all__ = [
-    "Attempt",
-    "AttemptRecord",
     "Budget",
     "BudgetExceededError",
     "CheckpointError",
@@ -68,14 +60,12 @@ __all__ = [
     "InjectedFault",
     "QbpCheckpoint",
     "QbpCheckpointer",
+    "RungTry",
     "STOP_CANCELLED",
     "STOP_COMPLETED",
     "STOP_DEADLINE",
     "STOP_REASONS",
     "STOP_STALLED",
-    "SolverSupervisor",
-    "SupervisorExhaustedError",
-    "SupervisorOutcome",
     "FAULT_PLAN_ENV",
     "atomic_write_json",
     "budget_stop",

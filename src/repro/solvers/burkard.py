@@ -107,7 +107,6 @@ from __future__ import annotations
 
 from repro.solvers.qbp.bootstrap import BootstrapStallError, bootstrap_initial_solution
 from repro.solvers.qbp.formulation import (
-    ANCHOR_MODES,
     DEFAULT_GAP_CRITERIA,
     ETA_MODES,
     IterationState,
@@ -120,7 +119,6 @@ from repro.solvers.qbp.iteration import BurkardResult, solve_qbp
 from repro.solvers.qbp.multistart import MultistartError, solve_qbp_multistart
 
 __all__ = [
-    "ANCHOR_MODES",
     "BootstrapStallError",
     "BurkardResult",
     "DEFAULT_GAP_CRITERIA",

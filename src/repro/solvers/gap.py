@@ -60,6 +60,9 @@ from repro.runtime.budget import Budget
 DEFAULT_CRITERIA = ("cost", "cost_per_size", "size", "cost_times_size")
 """Desirability criteria tried, in order, by :func:`solve_gap`."""
 
+IMPROVEMENT_PASSES = 4
+"""Passes of each improvement phase (shift, then exchange) per solve."""
+
 
 class GapInfeasibleError(RuntimeError):
     """No capacity-feasible assignment was found by any strategy."""
@@ -86,10 +89,8 @@ def solve_gap(
     *,
     criteria: Sequence[str] = DEFAULT_CRITERIA,
     improve: bool = True,
-    max_improvement_passes: int = 4,
     timing=None,
     allowed_mask=None,
-    timing_in_construction: bool = True,
     budget: Optional[Budget] = None,
 ) -> GapResult:
     """Solve a min-cost GAP heuristically with MTHG.
@@ -106,7 +107,9 @@ def solve_gap(
     criteria:
         Desirability measures to try; see :data:`DEFAULT_CRITERIA`.
     improve:
-        Run the single-item improvement phase after construction.
+        Run the improvement phases (single-item shifts, then pairwise
+        exchanges, :data:`IMPROVEMENT_PASSES` passes each) after
+        construction.
     timing:
         Optional :class:`repro.core.constraints.TimingIndex`.  This is the
         paper's Section 4.3 generalization "to handle additional Capacity
@@ -154,12 +157,11 @@ def solve_gap(
         best: Optional[np.ndarray] = None
         best_cost = np.inf
         best_criterion = "none"
-        construction_timing = timing if timing_in_construction else None
         for criterion in criteria:
             if budget is not None:
                 budget.raise_if_exceeded()
             assignment = _construct(
-                cost, sizes, capacities, criterion, construction_timing, static, budget
+                cost, sizes, capacities, criterion, timing, static, budget
             )
             if assignment is None:
                 continue
@@ -170,9 +172,7 @@ def solve_gap(
         if best is None:
             if budget is not None:
                 budget.raise_if_exceeded()
-            assignment = _best_fit_decreasing(
-                cost, sizes, capacities, construction_timing, static
-            )
+            assignment = _best_fit_decreasing(cost, sizes, capacities, timing, static)
             if assignment is None:
                 raise GapInfeasibleError(
                     "no feasible GAP assignment found (constraints too tight)"
@@ -184,11 +184,11 @@ def solve_gap(
         improved = False
         if improve:
             improved = _improve(
-                best, cost, sizes, capacities, max_improvement_passes, timing, static,
+                best, cost, sizes, capacities, IMPROVEMENT_PASSES, timing, static,
                 budget,
             )
             improved |= _exchange_improve(
-                best, cost, sizes, capacities, max_improvement_passes, timing, static,
+                best, cost, sizes, capacities, IMPROVEMENT_PASSES, timing, static,
                 budget,
             )
             best_cost = float(cost[best, np.arange(n)].sum())
@@ -562,7 +562,7 @@ def _exchange_improve(
                 continue
             if loads[i2] - size[j2] + size[j1] > cap[i2] + 1e-9:
                 continue
-            if timing is not None and not _swap_timing_ok(timing, where, j1, j2):
+            if timing is not None and not timing.swap_is_feasible(where, j1, j2):
                 continue
             where[j1], where[j2] = i2, i1
             loads[i1] += size[j2] - size[j1]
@@ -601,23 +601,6 @@ def _improving_exchanges(cost: np.ndarray, part: np.ndarray, own: np.ndarray):
         seconds.append(cols + lo)
         deltas.append(delta[rows, cols])
     return np.concatenate(firsts), np.concatenate(seconds), np.concatenate(deltas)
-
-
-def _swap_timing_ok(timing, part, j1: int, j2: int) -> bool:
-    """Exact C2 check for exchanging two items (everything else fixed)."""
-    i1, i2 = int(part[j1]), int(part[j2])
-    delay = timing.delay
-    for j, new_i, other in ((j1, i2, j2), (j2, i1, j1)):
-        partner_new = i1 if j is j1 else i2  # the other item's new spot
-        for k, budget in timing._out[j]:
-            at = partner_new if k == other else part[k]
-            if delay[new_i, at] > budget:
-                return False
-        for k, budget in timing._in[j]:
-            at = partner_new if k == other else part[k]
-            if delay[at, new_i] > budget:
-                return False
-    return True
 
 
 def _validate(cost: np.ndarray, sizes: np.ndarray, capacities: np.ndarray):

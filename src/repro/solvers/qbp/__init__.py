@@ -4,7 +4,8 @@
   bounds, the :class:`IterationState` view over the shared engine
   kernel,
 * :mod:`~repro.solvers.qbp.iteration` — :func:`solve_qbp` (STEP 1-8)
-  and the supervised inner-GAP ladder,
+  and the inner-GAP fallback ladder (trust, timing, plain rungs in a
+  plain loop),
 * :mod:`~repro.solvers.qbp.multistart` — restart fan-out and
   best-restart selection,
 * :mod:`~repro.solvers.qbp.bootstrap` — the paper's zero-``B`` initial
@@ -16,7 +17,6 @@ long-form user documentation); it re-exports everything here.
 
 from repro.solvers.qbp.bootstrap import BootstrapStallError, bootstrap_initial_solution
 from repro.solvers.qbp.formulation import (
-    ANCHOR_MODES,
     DEFAULT_GAP_CRITERIA,
     ETA_MODES,
     IterationState,
@@ -29,7 +29,6 @@ from repro.solvers.qbp.iteration import BurkardResult, solve_qbp
 from repro.solvers.qbp.multistart import MultistartError, solve_qbp_multistart
 
 __all__ = [
-    "ANCHOR_MODES",
     "BootstrapStallError",
     "BurkardResult",
     "DEFAULT_GAP_CRITERIA",

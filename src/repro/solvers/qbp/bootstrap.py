@@ -9,7 +9,7 @@ from repro.core.problem import PartitioningProblem
 from repro.obs.telemetry import Telemetry, resolve as resolve_telemetry
 from repro.runtime.budget import Budget
 from repro.runtime.faults import maybe_fault
-from repro.runtime.supervisor import Attempt, SolverSupervisor, SupervisorExhaustedError
+from repro.runtime.supervisor import RungTry
 from repro.solvers.greedy import greedy_feasible_assignment
 from repro.solvers.qbp.iteration import solve_qbp
 from repro.utils.rng import RandomSource, ensure_rng
@@ -38,17 +38,16 @@ def bootstrap_initial_solution(
 
     Each attempt starts from a fresh randomized greedy placement and
     finishes with min-conflicts repair (the zero-``B`` iteration drives
-    violations down globally but can stall with a small residue).  The
-    attempts run under a :class:`~repro.runtime.supervisor.SolverSupervisor`
-    so each try is audited and an optional ``budget`` bounds the total
-    wall clock.
+    violations down globally but can stall with a small residue).  Each
+    attempt is one :class:`~repro.runtime.supervisor.RungTry`, so a
+    stalled attempt is a ``fallback`` event on the telemetry stream, and
+    an optional ``budget`` bounds the total wall clock.
 
     Raises
     ------
     RuntimeError
         When no fully feasible assignment is found within ``attempts``
-        runs of ``iterations`` iterations each (the supervisor's audit
-        trail rides along as ``__cause__``), or - as the
+        runs of ``iterations`` iterations each, or - as the
         :class:`~repro.runtime.budget.BudgetExceededError` subclass -
         when the budget runs out first.
     """
@@ -59,37 +58,30 @@ def bootstrap_initial_solution(
     rng = ensure_rng(seed)
     from repro.solvers.repair import repair_feasibility
 
-    def one_attempt(attempt_budget: Optional[Budget]) -> Assignment:
-        maybe_fault("bootstrap.attempt")
-        result = solve_qbp(
-            zeroed, iterations=iterations, seed=rng, budget=attempt_budget,
-            telemetry=telemetry,
-        )
-        if result.best_feasible_assignment is not None:
-            return result.best_feasible_assignment
-        repaired = repair_feasibility(zeroed, result.assignment, seed=rng)
-        if repaired is not None:
-            return repaired
-        raise BootstrapStallError(
-            f"zero-B attempt stalled with {result.timing_violations} "
-            "timing violation(s) after repair"
-        )
-
-    supervisor = SolverSupervisor(
-        [Attempt("qbp-bootstrap", one_attempt, retries=max(1, attempts) - 1)],
-        transient=(BootstrapStallError,),
-        budget=budget,
-        name="bootstrap",
-        telemetry=telemetry,
-    )
     with tel.span("qbp.bootstrap", attempts=attempts, iterations=iterations):
-        try:
-            return supervisor.run().value
-        except SupervisorExhaustedError as exc:
-            raise RuntimeError(
-                "bootstrap failed: no timing+capacity feasible assignment found in "
-                f"{attempts} attempt(s) of {iterations} iterations plus repair"
-            ) from exc
+        for try_index in range(max(1, attempts)):
+            with RungTry(
+                "bootstrap", "qbp-bootstrap", BootstrapStallError,
+                budget=budget, telemetry=telemetry, try_index=try_index,
+            ):
+                maybe_fault("bootstrap.attempt")
+                result = solve_qbp(
+                    zeroed, iterations=iterations, seed=rng, budget=budget,
+                    telemetry=telemetry,
+                )
+                if result.best_feasible_assignment is not None:
+                    return result.best_feasible_assignment
+                repaired = repair_feasibility(zeroed, result.assignment, seed=rng)
+                if repaired is not None:
+                    return repaired
+                raise BootstrapStallError(
+                    f"zero-B attempt stalled with {result.timing_violations} "
+                    "timing violation(s) after repair"
+                )
+        raise RuntimeError(
+            "bootstrap failed: no timing+capacity feasible assignment found in "
+            f"{attempts} attempt(s) of {iterations} iterations plus repair"
+        )
 
 
 __all__ = ["BootstrapStallError", "bootstrap_initial_solution"]

@@ -22,8 +22,6 @@ PAPER_PENALTY = 50.0
 DEFAULT_GAP_CRITERIA = ("cost", "cost_per_size")
 """Desirability criteria for the inner GAP solves (speed/quality balance)."""
 
-ANCHOR_MODES = ("trajectory", "incumbent")
-
 
 def resolve_penalty(problem: PartitioningProblem, penalty) -> float:
     """Resolve a penalty specification to a number.
@@ -83,15 +81,10 @@ class IterationState:
         self.kernel = DeltaCache(problem, evaluator=evaluator)
         self.alpha, self.beta = problem.alpha, problem.beta
         self.B = self.kernel.B
-        self.BT = self.kernel.BT
         self.D = self.kernel.D
-        self.DT = self.kernel.DT
         self.P = self.kernel.P
         self.A = self.kernel._A
-        self.AT = self.kernel._AT
         self.t_src = self.kernel.t_src
-        self.t_dst = self.kernel.t_dst
-        self.t_budget = self.kernel.t_budget
         self.t_wire = self.kernel.t_wire
         self.timing_index = self.kernel.timing_index
         self.omega = self._omega_bound()
@@ -153,7 +146,6 @@ def is_fully_feasible(
 
 
 __all__ = [
-    "ANCHOR_MODES",
     "DEFAULT_GAP_CRITERIA",
     "ETA_MODES",
     "IterationState",

@@ -1,7 +1,7 @@
 """The generalized Burkard iteration (paper Section 4.2, STEP 1-8).
 
 This module owns :func:`solve_qbp` — the single-solve entry point — and
-the supervised inner-GAP ladder it runs.  The formulation-side
+the inner-GAP fallback ladder it runs.  The formulation-side
 machinery (penalty, omega, eta) lives in
 :mod:`repro.solvers.qbp.formulation`; multistart and the zero-``B``
 bootstrap in their sibling modules.
@@ -30,11 +30,10 @@ from repro.runtime.budget import (
 )
 from repro.runtime.checkpoint import QbpCheckpoint, QbpCheckpointer
 from repro.runtime.faults import maybe_fault
-from repro.runtime.supervisor import Attempt, SolverSupervisor, SupervisorExhaustedError
+from repro.runtime.supervisor import RungTry
 from repro.solvers.gap import GapInfeasibleError, solve_gap
 from repro.solvers.greedy import greedy_feasible_assignment
 from repro.solvers.qbp.formulation import (
-    ANCHOR_MODES,
     DEFAULT_GAP_CRITERIA,
     ETA_MODES,
     IterationState,
@@ -79,7 +78,7 @@ class BurkardResult(SolveOutcome):
         return self.best_feasible_assignment
 
 
-def check_solve_args(iterations: int, eta_mode: str, anchor_mode: str) -> None:
+def check_solve_args(iterations: int, eta_mode: str) -> None:
     """Raise ``ValueError`` for :func:`solve_qbp` arguments no solve accepts.
 
     Shared with :func:`~repro.solvers.qbp.multistart.solve_qbp_multistart`,
@@ -90,10 +89,6 @@ def check_solve_args(iterations: int, eta_mode: str, anchor_mode: str) -> None:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if eta_mode not in ETA_MODES:
         raise ValueError(f"eta_mode must be one of {ETA_MODES}, got {eta_mode!r}")
-    if anchor_mode not in ANCHOR_MODES:
-        raise ValueError(
-            f"anchor_mode must be one of {ANCHOR_MODES}, got {anchor_mode!r}"
-        )
 
 
 def solve_qbp(
@@ -107,8 +102,6 @@ def solve_qbp(
     gap_criteria: Sequence[str] = DEFAULT_GAP_CRITERIA,
     repair_iterates: bool = True,
     repair_moves: int = 3000,
-    project_trajectory: bool = False,
-    anchor_mode: str = "trajectory",
     budget: Optional[Budget] = None,
     checkpointer: Optional[QbpCheckpointer] = None,
     resume: Optional[QbpCheckpoint] = None,
@@ -120,7 +113,7 @@ def solve_qbp(
     documentation (this module keeps the implementation; the facade
     keeps the user-facing reference).
     """
-    check_solve_args(iterations, eta_mode, anchor_mode)
+    check_solve_args(iterations, eta_mode)
 
     ctx = SolverContext.create(
         problem, seed=seed, telemetry=telemetry, budget=budget,
@@ -231,10 +224,6 @@ def solve_qbp(
                     stop_reason = reason
                     break
             maybe_fault("qbp.iteration")
-            if anchor_mode == "incumbent" and best_feas_part is not None:
-                # Variant: always linearise at the best feasible incumbent
-                # instead of the previous iterate (see docstring).
-                part = best_feas_part.copy()
             # Kernel timing instrumentation: per-iteration eta/GAP wall
             # time lands in qbp.iter.* histograms so metrics and
             # --profile flamegraphs cross-reference the same hot spots.
@@ -330,11 +319,6 @@ def solve_qbp(
                 )
                 shadow_part = merged.part
                 candidates.append(shadow_part)
-                if project_trajectory:
-                    # Fully projected iteration: the trajectory itself stays
-                    # feasible, so eta is always anchored at a real
-                    # configuration.
-                    part = shadow_part.copy()
             pen = evaluator.penalized_cost(part, pen_value)  # STEP 7
             history.append(pen)
 
@@ -420,7 +404,7 @@ def _solve_gap_graceful(
     cost, sizes, capacities, criteria, timing, trust_mask=None, budget=None,
     telemetry=None,
 ):
-    """One inner GAP solve under a supervised fallback ladder.
+    """One inner GAP solve down a fallback ladder of rungs.
 
     Rungs, in order: (1) the trust-region mask (single moves feasible
     against the shadow anchor - constructible whenever the shadow fits
@@ -434,30 +418,21 @@ def _solve_gap_graceful(
     assignment.  :class:`BudgetExceededError` from an exhausted shared
     budget propagates so the caller stops with its incumbent.
     """
-
-    def rung(site: str, **kwargs) -> Attempt:
-        def run(attempt_budget):
-            maybe_fault(site)
-            return solve_gap(
-                cost, sizes, capacities, criteria=criteria, budget=attempt_budget, **kwargs
-            )
-
-        return Attempt(name=site, run=run)
-
-    attempts = []
+    rungs = []
     if trust_mask is not None:
-        attempts.append(rung("gap.trust", allowed_mask=trust_mask))
+        rungs.append(("gap.trust", {"allowed_mask": trust_mask}))
     if timing is not None:
-        attempts.append(rung("gap.timing", timing=timing))
-    attempts.append(rung("gap.plain"))
-    supervisor = SolverSupervisor(
-        attempts, transient=(GapInfeasibleError,), budget=budget,
-        name="gap", telemetry=telemetry,
-    )
-    try:
-        return supervisor.run().value
-    except SupervisorExhaustedError:
-        return None
+        rungs.append(("gap.timing", {"timing": timing}))
+    rungs.append(("gap.plain", {}))
+    for rung, kwargs in rungs:
+        with RungTry(
+            "gap", rung, GapInfeasibleError, budget=budget, telemetry=telemetry
+        ):
+            maybe_fault(rung)
+            return solve_gap(
+                cost, sizes, capacities, criteria=criteria, budget=budget, **kwargs
+            )
+    return None
 
 
 __all__ = ["BurkardResult", "check_solve_args", "solve_qbp"]

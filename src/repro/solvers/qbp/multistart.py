@@ -214,11 +214,7 @@ def solve_qbp_multistart(
         # A checkpoint records ONE solve's state; restarts would fight
         # over the file.
         raise ValueError("checkpointing requires restarts == 1")
-    check_solve_args(
-        iterations,
-        kwargs.get("eta_mode", "symmetric"),
-        kwargs.get("anchor_mode", "trajectory"),
-    )
+    check_solve_args(iterations, kwargs.get("eta_mode", "symmetric"))
     tel = resolve_telemetry(telemetry)
     seeds = multistart_seeds(seed, restarts)
     pool = WorkerPool(

@@ -8,7 +8,7 @@ file, see ``docs/OBSERVABILITY.md``) and renders, in order:
   call counts and CPU seconds - the text-mode flamegraph,
 * a **convergence table** per solver, built from ``iteration`` events:
   iterations run, first/best/final cost, improvement count,
-* a **fallback audit**: every non-ok supervisor attempt (ladder, rung,
+* a **fallback audit**: every non-ok fallback-ladder try (ladder, rung,
   status, error), so a degraded run explains how it degraded,
 * a **checkpoint summary**: snapshot count, bytes written, last
   iteration captured.
@@ -158,7 +158,7 @@ def render_convergence(events: List[dict]) -> str:
 
 
 def render_fallbacks(events: List[dict]) -> str:
-    """Audit of non-ok supervisor attempts (``fallback`` events)."""
+    """Audit of non-ok fallback-ladder tries (``fallback`` events)."""
     fallbacks = [e for e in events if e["event"] == "fallback"]
     if not fallbacks:
         return "no fallbacks recorded (every supervised attempt succeeded)"

@@ -107,11 +107,6 @@ class TestTimingIndex:
         # b-c stays d(2,1)=2 -> infeasible.
         assert not index.swap_is_feasible(part, 1, 2)
 
-    def test_violated_by(self, index):
-        part = np.array([0, 3, 1])  # a-b at distance 2 (both directions)
-        assert index.violated_by(part, 0) == 2
-        assert index.violated_by(part, 1) == 2
-
     def test_empty_constraints(self):
         index = TimingIndex(TimingConstraints(3), np.zeros((2, 2)))
         assert index.constrained_components() == []
@@ -124,20 +119,5 @@ class TestCapacityTracker:
         caps = np.array([5.0, 5.0])
         tracker = CapacityTracker.for_assignment(Assignment([0, 0], 2), sizes, caps)
         assert np.array_equal(tracker.loads, [5.0, 0.0])
-        assert tracker.move_fits(0, 1)
         tracker.apply_move(0, 0, 1)
         assert np.array_equal(tracker.loads, [3.0, 2.0])
-
-    def test_move_fits_respects_capacity(self):
-        sizes = np.array([4.0, 4.0])
-        caps = np.array([5.0, 5.0])
-        tracker = CapacityTracker.for_assignment(Assignment([0, 1], 2), sizes, caps)
-        assert not tracker.move_fits(0, 1)
-
-    def test_swap_fits(self):
-        sizes = np.array([4.0, 1.0])
-        caps = np.array([4.5, 4.5])
-        tracker = CapacityTracker.for_assignment(Assignment([0, 1], 2), sizes, caps)
-        # Swapping 4.0 <-> 1.0 fits both ways around.
-        assert tracker.swap_fits(0, 0, 1, 1)
-        assert tracker.swap_fits(0, 0, 0, 0)  # same partition trivial

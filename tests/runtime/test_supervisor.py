@@ -1,15 +1,12 @@
-"""SolverSupervisor: ladders, retries, audit trails, budgets."""
+"""RungTry: one observed try of one rung of a plain-loop fallback ladder."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.obs.telemetry import Telemetry
 from repro.runtime.budget import Budget, BudgetExceededError
-from repro.runtime.supervisor import (
-    Attempt,
-    SolverSupervisor,
-    SupervisorExhaustedError,
-)
+from repro.runtime.supervisor import RungTry
 
 
 class Flaky:
@@ -20,122 +17,152 @@ class Flaky:
         self.error = error
         self.calls = 0
 
-    def __call__(self, budget):
+    def __call__(self):
         self.calls += 1
         if self.calls <= self.failures:
             raise self.error
         return f"ok after {self.calls}"
 
 
-class TestLadder:
-    def test_first_rung_succeeds(self):
-        outcome = SolverSupervisor(
-            [
-                Attempt("primary", lambda b: "primary-value"),
-                Attempt("fallback", lambda b: "fallback-value"),
-            ]
-        ).run()
-        assert outcome.value == "primary-value"
-        assert outcome.attempt == "primary"
-        assert not outcome.degraded
-        assert [r.status for r in outcome.records] == ["ok"]
+def ladder(rungs, tel, budget=None, transient=RuntimeError):
+    """The loop every ladder in the package runs: first success wins."""
+    for name, run in rungs:
+        with RungTry("test", name, transient, budget=budget, telemetry=tel):
+            return run()
+    return None
 
-    def test_descends_on_transient_failure(self):
-        def boom(budget):
+
+def fallbacks(tel):
+    return [e for e in tel.events() if e.kind == "fallback"]
+
+
+def fallback_count(tel):
+    return tel.metrics_snapshot()["counters"].get("supervisor.fallbacks", 0.0)
+
+
+@pytest.fixture
+def tel():
+    return Telemetry.enabled_default()
+
+
+class TestLadder:
+    def test_first_rung_succeeds(self, tel):
+        value = ladder(
+            [("primary", lambda: "primary-value"), ("fallback", lambda: "fallback-value")],
+            tel,
+        )
+        assert value == "primary-value"
+        (span,) = tel.tracer.spans
+        assert (span.name, span.attrs) == ("primary", {"ladder": "test", "try_index": 0})
+        assert fallbacks(tel) == []
+        assert fallback_count(tel) == 0
+
+    def test_descends_on_transient_failure(self, tel):
+        def boom():
             raise RuntimeError("nope")
 
-        outcome = SolverSupervisor(
-            [Attempt("primary", boom), Attempt("fallback", lambda b: 42)]
-        ).run()
-        assert outcome.value == 42
-        assert outcome.attempt == "fallback"
-        assert outcome.degraded
-        assert [(r.name, r.status) for r in outcome.records] == [
-            ("primary", "error"),
-            ("fallback", "ok"),
+        with RungTry("test", "primary", RuntimeError, telemetry=tel) as attempt:
+            boom()
+        assert attempt.error == "RuntimeError: nope"
+        assert ladder([("primary", boom), ("fallback", lambda: 42)], tel) == 42
+        assert [(s.name, s.attrs.get("error")) for s in tel.tracer.spans] == [
+            ("primary", "RuntimeError"),
+            ("primary", "RuntimeError"),
+            ("fallback", None),
         ]
-        assert "nope" in outcome.records[0].error
+        event = fallbacks(tel)[-1]
+        assert (event.ladder, event.rung, event.try_index, event.status) == (
+            "test", "primary", 0, "error",
+        )
+        assert event.error == "RuntimeError: nope"
+        assert event.elapsed_seconds >= 0.0
+        assert fallback_count(tel) == 2
 
-    def test_non_transient_propagates(self):
-        def boom(budget):
+    def test_non_transient_propagates(self, tel):
+        def boom():
             raise ValueError("programming error")
 
-        supervisor = SolverSupervisor(
-            [Attempt("primary", boom), Attempt("fallback", lambda b: 42)],
-            transient=(RuntimeError,),
-        )
         with pytest.raises(ValueError):
-            supervisor.run()
+            ladder([("primary", boom), ("fallback", lambda: 42)], tel)
+        assert [s.attrs.get("error") for s in tel.tracer.spans] == ["ValueError"]
+        assert fallbacks(tel) == []
+        assert fallback_count(tel) == 0
 
-    def test_exhaustion_carries_audit(self):
-        def boom(budget):
+    def test_exhaustion_carries_audit(self, tel):
+        def boom():
             raise RuntimeError("always")
 
-        supervisor = SolverSupervisor(
-            [Attempt("a", boom, retries=1), Attempt("b", boom)]
-        )
-        with pytest.raises(SupervisorExhaustedError) as excinfo:
-            supervisor.run()
-        records = excinfo.value.records
-        assert [(r.name, r.try_index) for r in records] == [
-            ("a", 0),
-            ("a", 1),
-            ("b", 0),
+        assert ladder([("a", boom), ("b", boom)], tel) is None
+        assert [(e.rung, e.status, e.error) for e in fallbacks(tel)] == [
+            ("a", "error", "RuntimeError: always"),
+            ("b", "error", "RuntimeError: always"),
         ]
-        assert all(r.status == "error" for r in records)
-        assert "a#0" in str(excinfo.value)
+        assert fallback_count(tel) == 2
 
-    def test_empty_ladder_rejected(self):
-        with pytest.raises(ValueError):
-            SolverSupervisor([])
+    def test_error_is_kept_with_telemetry_disabled(self):
+        # The initial-solution ladder names each failed rung from it.
+        with RungTry(
+            "test", "primary", RuntimeError, telemetry=Telemetry(enabled=False)
+        ) as attempt:
+            raise RuntimeError("nope")
+        assert attempt.error == "RuntimeError: nope"
 
 
 class TestRetries:
-    def test_retry_until_success(self):
+    def test_retry_until_success(self, tel):
         flaky = Flaky(failures=2)
-        outcome = SolverSupervisor([Attempt("flaky", flaky, retries=3)]).run()
-        assert outcome.value == "ok after 3"
+        for try_index in range(4):
+            with RungTry("test", "flaky", RuntimeError, telemetry=tel, try_index=try_index):
+                value = flaky()
+                break
+        assert value == "ok after 3"
         assert flaky.calls == 3
-        assert [r.status for r in outcome.records] == ["error", "error", "ok"]
-        assert outcome.degraded
+        assert [s.attrs["try_index"] for s in tel.tracer.spans] == [0, 1, 2]
+        assert [(e.try_index, e.status) for e in fallbacks(tel)] == [
+            (0, "error"),
+            (1, "error"),
+        ]
 
 
 class TestBudgets:
-    def test_exhausted_shared_budget_skips_and_raises(self):
+    def test_exhausted_shared_budget_skips_and_raises(self, tel):
         budget = Budget(wall_seconds=1.0)
         budget.cancel()  # expired before the ladder starts
         calls = []
-        supervisor = SolverSupervisor(
-            [Attempt("never", lambda b: calls.append(1))], budget=budget
-        )
-        with pytest.raises(BudgetExceededError):
-            supervisor.run()
+        with pytest.raises(BudgetExceededError) as excinfo:
+            ladder([("never", lambda: calls.append(1))], tel, budget=budget)
+        assert excinfo.value.reason == "cancelled"
         assert calls == []
+        assert tel.tracer.spans == []
+        (event,) = fallbacks(tel)
+        assert (event.rung, event.status, event.error, event.elapsed_seconds) == (
+            "never", "skipped", "budget exhausted", 0.0,
+        )
+        assert fallback_count(tel) == 1
 
-    def test_no_budget_no_timeout_passes_none(self):
-        seen = {}
+    def test_no_budget_no_timeout_passes_none(self, tel):
+        with RungTry("test", "probe", RuntimeError, telemetry=tel) as attempt:
+            seen = attempt.budget
+        assert seen is None
+        assert fallbacks(tel) == []
 
-        def probe(budget):
-            seen["budget"] = budget
-            return 1
-
-        SolverSupervisor([Attempt("probe", probe)]).run()
-        assert seen["budget"] is None
-
-    def test_shared_budget_expiry_mid_attempt_stops_ladder(self):
+    def test_shared_budget_expiry_mid_attempt_stops_ladder(self, tel):
         clock = MutableClock()
         budget = Budget(wall_seconds=5.0, clock=clock)
 
-        def drains(attempt_budget):
+        def drains():
             clock.now += 10.0  # the attempt burns through the shared budget
-            attempt_budget.raise_if_exceeded()
+            budget.raise_if_exceeded()
 
-        supervisor = SolverSupervisor(
-            [Attempt("drains", drains), Attempt("never", lambda b: "unreached")],
-            budget=budget,
+        with pytest.raises(BudgetExceededError) as excinfo:
+            ladder([("drains", drains), ("never", lambda: "unreached")], tel, budget)
+        assert excinfo.value.reason == "deadline"
+        (span,) = tel.tracer.spans
+        assert (span.name, span.attrs["error"]) == ("drains", "BudgetExceededError")
+        (event,) = fallbacks(tel)
+        assert (event.rung, event.status, event.error) == (
+            "drains", "skipped", "budget exhausted",
         )
-        with pytest.raises(BudgetExceededError):
-            supervisor.run()
 
 
 class MutableClock:

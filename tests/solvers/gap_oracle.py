@@ -9,8 +9,11 @@ candidates.  :func:`reference_solve_gap` runs them in
 must return the same :class:`~repro.solvers.gap.GapResult` bit for bit.
 :func:`_best_fit_decreasing` is the whole-array form of the fallback:
 a fitting mask per item and a ``min`` over its fitting partitions.
-The phases the production module did not rewrite (the desirability
-measures and the exact swap check) are imported from it.
+:func:`_swap_timing_ok` is the exchange pass's own C2 swap check, which
+production replaced with :meth:`~repro.core.constraints.TimingIndex.swap_is_feasible`
+(the two agree on items in different partitions, the only pairs an
+exchange tests).  The desirability measures are imported from the
+production module.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ import numpy as np
 from repro.runtime.budget import Budget
 from repro.solvers.gap import (
     DEFAULT_CRITERIA,
+    IMPROVEMENT_PASSES,
     GapInfeasibleError,
     GapResult,
     _desirability,
-    _swap_timing_ok,
 )
 
 
@@ -37,10 +40,8 @@ def reference_solve_gap(
     *,
     criteria: Sequence[str] = DEFAULT_CRITERIA,
     improve: bool = True,
-    max_improvement_passes: int = 4,
     timing=None,
     allowed_mask=None,
-    timing_in_construction: bool = True,
 ) -> GapResult:
     """:func:`~repro.solvers.gap.solve_gap` on the reference phases."""
     cost = np.asarray(cost, dtype=float)
@@ -53,20 +54,15 @@ def reference_solve_gap(
     best: Optional[np.ndarray] = None
     best_cost = np.inf
     best_criterion = "none"
-    construction_timing = timing if timing_in_construction else None
     for criterion in criteria:
-        assignment = _construct(
-            cost, sizes, capacities, criterion, construction_timing, static
-        )
+        assignment = _construct(cost, sizes, capacities, criterion, timing, static)
         if assignment is None:
             continue
         value = float(cost[assignment, np.arange(n)].sum())
         if value < best_cost:
             best, best_cost, best_criterion = assignment, value, criterion
     if best is None:
-        best = _best_fit_decreasing(
-            cost, sizes, capacities, construction_timing, static
-        )
+        best = _best_fit_decreasing(cost, sizes, capacities, timing, static)
         if best is None:
             raise GapInfeasibleError("no feasible GAP assignment found")
         best_cost = float(cost[best, np.arange(n)].sum())
@@ -74,10 +70,10 @@ def reference_solve_gap(
     improved = False
     if improve:
         improved = _improve(
-            best, cost, sizes, capacities, max_improvement_passes, timing, static
+            best, cost, sizes, capacities, IMPROVEMENT_PASSES, timing, static
         )
         improved |= _exchange_improve(
-            best, cost, sizes, capacities, max_improvement_passes, timing, static
+            best, cost, sizes, capacities, IMPROVEMENT_PASSES, timing, static
         )
         best_cost = float(cost[best, np.arange(n)].sum())
     return GapResult(
@@ -304,6 +300,24 @@ def _exchange_improve(
         if not changed:
             break
     return improved
+
+
+
+def _swap_timing_ok(timing, part, j1: int, j2: int) -> bool:
+    """Exact C2 check for exchanging two items (everything else fixed)."""
+    i1, i2 = int(part[j1]), int(part[j2])
+    delay = timing.delay
+    for j, new_i, other in ((j1, i2, j2), (j2, i1, j1)):
+        partner_new = i1 if j is j1 else i2  # the other item's new spot
+        for k, budget in timing._out[j]:
+            at = partner_new if k == other else part[k]
+            if delay[new_i, at] > budget:
+                return False
+        for k, budget in timing._in[j]:
+            at = partner_new if k == other else part[k]
+            if delay[at, new_i] > budget:
+                return False
+    return True
 
 
 def _best_fit_decreasing(

@@ -108,8 +108,6 @@ class TestUnconstrainedSolve:
             solve_qbp(small_problem, iterations=0)
         with pytest.raises(ValueError):
             solve_qbp(small_problem, eta_mode="bogus")
-        with pytest.raises(ValueError, match="anchor_mode"):
-            solve_qbp(small_problem, anchor_mode="bogus")
 
     def test_rejects_capacity_infeasible_initial(self, paper_problem):
         bad = Assignment([0, 0, 0], 4)

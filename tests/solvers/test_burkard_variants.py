@@ -50,21 +50,6 @@ class TestVariantFlags:
         )
         assert repaired.best_feasible_cost <= plain.best_feasible_cost + 1e-9
 
-    def test_project_trajectory_runs(self, timed_problem, start):
-        result = solve_qbp(
-            timed_problem,
-            iterations=10,
-            initial=start,
-            project_trajectory=True,
-        )
-        assert result.best_feasible_assignment is not None
-
-    def test_anchor_incumbent_runs(self, timed_problem, start):
-        result = solve_qbp(
-            timed_problem, iterations=10, initial=start, anchor_mode="incumbent"
-        )
-        assert result.best_feasible_assignment is not None
-
     def test_paper_verbatim_configuration(self, timed_problem, start):
         """eta_mode='burkard' + no repair = the paper's pseudocode."""
         result = solve_qbp(

@@ -260,11 +260,7 @@ def test_timing_aware_on_eta_costs(name, scale):
     parts = [workload.reference.part] + [rng.integers(0, m, n) for _ in range(2)]
     for part in parts:
         cost = state.eta(np.asarray(part)).T
-        for in_construction in (True, False):
-            assert_same(
-                cost, sizes, capacities, timing=state.timing_index,
-                timing_in_construction=in_construction,
-            )
+        assert_same(cost, sizes, capacities, timing=state.timing_index)
         trust = timing_move_mask(problem.timing, state.D, workload.reference.part, m).T
         trust[workload.reference.part, np.arange(n)] = True
         assert_same(cost, sizes, capacities, allowed_mask=trust)
@@ -283,6 +279,45 @@ def test_some_timing_aware_constructions_complete():
         cost, problem.sizes(), problem.capacities(), timing=state.timing_index
     )
     assert completed > 0
+
+
+
+def test_swap_check_matches_timing_index():
+    # The exchange pass asks TimingIndex.swap_is_feasible; the oracle's
+    # own check must agree on every pair of items in different
+    # partitions, the only pairs an exchange tests.  Budgets are
+    # directed and the delays asymmetric; a fifth of the pairs are
+    # constrained in both directions with independent budgets.
+    rng = np.random.default_rng(7)
+    outcomes = {(mutual, ok): 0 for mutual in (False, True) for ok in (False, True)}
+    for _ in range(60):
+        n, m = int(rng.integers(2, 13)), int(rng.integers(2, 6))
+        delay = rng.uniform(0.0, 3.0, (m, m))
+        np.fill_diagonal(delay, 0.0)
+        constraints = TimingConstraints(n)
+        for j1 in range(n):
+            for j2 in range(j1 + 1, n):
+                draw = rng.random()
+                if draw < 0.2:
+                    constraints.add(j1, j2, float(rng.uniform(1.5, 3.5)))
+                    constraints.add(j2, j1, float(rng.uniform(1.5, 3.5)))
+                elif draw < 0.3:
+                    a, b = (j1, j2) if rng.random() < 0.5 else (j2, j1)
+                    constraints.add(a, b, float(rng.uniform(1.5, 3.5)))
+        index = TimingIndex(constraints, delay)
+        part = rng.integers(0, m, n).tolist()
+        for j1 in range(n):
+            for j2 in range(j1 + 1, n):
+                if part[j1] == part[j2]:
+                    continue
+                want = gap_oracle._swap_timing_ok(index, part, j1, j2)
+                assert index.swap_is_feasible(part, j1, j2) == want, (part, j1, j2)
+                mutual = bool(
+                    np.isfinite(constraints.budget(j1, j2))
+                    and np.isfinite(constraints.budget(j2, j1))
+                )
+                outcomes[mutual, want] += 1
+    assert min(outcomes.values()) > 50, outcomes
 
 
 def recording_rung(solver, log):

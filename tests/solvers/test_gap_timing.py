@@ -125,21 +125,3 @@ class TestImprovementRespectsTiming:
                 continue
             assert tc.is_satisfied(result.assignment, DELAY), trial
 
-    def test_timing_in_construction_flag(self):
-        # With construction masks off but a trust mask on, the solve
-        # completes and improvement still respects exact timing.
-        rng = np.random.default_rng(1)
-        cost = rng.uniform(0, 10, (3, 6))
-        tc = TimingConstraints(6)
-        tc.add(0, 1, 1.0, symmetric=True)
-        timing = TimingIndex(tc, DELAY)
-        mask = np.ones((3, 6), dtype=bool)
-        result = solve_gap(
-            cost,
-            np.ones(6),
-            np.full(3, 6.0),
-            timing=timing,
-            allowed_mask=mask,
-            timing_in_construction=False,
-        )
-        assert result.num_items == 6
