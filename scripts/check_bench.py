@@ -16,7 +16,9 @@ with a baseline JSON under ``benchmarks/baselines/`` using
 
 Counters that exist only in the current run (new instrumentation) are
 reported but do not fail the gate; counters present in the baseline but
-missing from the run do fail (something stopped being measured).
+missing from the run do fail (something stopped being measured), except
+those whose baseline is 0: snapshots hold no zero counters, so a
+baseline pins a count at 0 by listing it with that value.
 
 Instead of a static baseline, ``--ledger`` gates against the rolling
 window of a ``run-ledger-v1`` history (see ``repro.obs.ledger``):
@@ -98,7 +100,7 @@ def check_bench(
                 f"(drift {relative:.1%} > {counter_tolerance:.1%})"
             )
     for name in sorted(base_counters):
-        if name not in current.get("counters", {}):
+        if float(base_counters[name]) != 0.0 and name not in current.get("counters", {}):
             problems.append(
                 f"counter {name}: baseline {base_counters[name]:g}, "
                 "missing from run"

@@ -117,6 +117,23 @@ class ObjectiveEvaluator:
         """The full objective ``alpha*linear + beta*quadratic``."""
         return self.breakdown(assignment).total
 
+    def cost_floor(self) -> float:
+        """A lower bound on :meth:`cost` over every assignment.
+
+        ``0.0`` when no term can be negative: ``beta``, ``B`` and the wire
+        weights are all ``>= 0``, and there is no linear term or
+        ``alpha * P >= 0`` entry by entry.  Sums and products of
+        non-negative floats stay non-negative, so the bound also holds
+        in floating point.  ``-inf`` otherwise.
+        """
+        nonnegative = (
+            self.beta >= 0
+            and bool(np.all(self.B >= 0))
+            and bool(np.all(self.wire_w >= 0))
+            and (self.P is None or bool(np.all(self.alpha * self.P >= 0)))
+        )
+        return 0.0 if nonnegative else -np.inf
+
     def breakdown(self, assignment: Assignment | Sequence[int]) -> CostBreakdown:
         """The objective with its terms reported separately."""
         return CostBreakdown(

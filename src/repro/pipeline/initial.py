@@ -23,6 +23,7 @@ from typing import Optional, Tuple
 
 from repro.core.assignment import Assignment
 from repro.core.problem import PartitioningProblem
+from repro.obs.telemetry import resolve as resolve_telemetry
 from repro.runtime.budget import Budget, BudgetExceededError
 from repro.runtime.supervisor import RungTry
 from repro.solvers.burkard import bootstrap_initial_solution
@@ -50,8 +51,10 @@ def supervised_initial_solution(
     possible, but the partitioner still has *something* to improve).
     Returns the assignment and the name of the rung that produced it;
     raises :class:`InitialSolutionError`, naming each rung and its
-    error, if every rung fails.  ``name`` labels the ladder's telemetry
-    (callers keep their historical labels: ``partition.initial``,
+    error, if every rung fails.  A spent ``budget`` stops the ladder
+    and returns plain greedy placement, built outside it in a span of
+    that rung's name.  ``name`` labels the ladder's telemetry (callers
+    keep their historical labels: ``partition.initial``,
     ``service.initial``).
     """
 
@@ -81,7 +84,9 @@ def supervised_initial_solution(
     except BudgetExceededError:
         # Budget gone before any rung finished: fall back to the cheap
         # constructor outside the ladder so the caller still gets a start.
-        return greedy_feasible_assignment(problem, seed=seed), "greedy-capacity-only"
+        rung = "greedy-capacity-only"
+        with resolve_telemetry(None).span(rung, ladder=name):
+            return greedy_feasible_assignment(problem, seed=seed), rung
     raise InitialSolutionError(
         "no initial solution could be constructed; every rung failed: "
         + "; ".join(failures)
@@ -104,7 +109,8 @@ def paper_initial_solution(
     feasibility; ``reference`` (feasible by construction) then stands
     in, playing the same role as the designer's initial assignment in
     the MCM flow.  An exhausted ``budget`` also falls through to the
-    reference so callers always get *some* feasible start.  The ladder's
+    reference, copied outside the ladder in a ``reference-fallback``
+    span, so callers always get *some* feasible start.  The ladder's
     telemetry is labelled ``paper.initial``.
     """
 
@@ -122,7 +128,10 @@ def paper_initial_solution(
                 return build()
     except BudgetExceededError:
         pass
-    return reference.copy()
+    # Budget gone or every rung failed: copy the reference outside the
+    # ladder so the caller still gets a start.
+    with resolve_telemetry(None).span("reference-fallback", ladder="paper.initial"):
+        return reference.copy()
 
 
 __all__ = [

@@ -39,8 +39,17 @@ This module is the stable import surface; the implementation lives in
 Reference: :func:`solve_qbp` keyword parameters
 -----------------------------------------------
 iterations:
-    The paper's ``N_iterations`` (100 in its experiments).  More
-    iterations never worsen the returned solution.
+    The paper's ``N_iterations`` (100 in its experiments), as a cap.
+    More iterations never worsen the returned solution.  The solve
+    stops early, with ``stop_reason="completed"``, once its feasible
+    incumbent costs
+    :meth:`~repro.core.objective.ObjectiveEvaluator.cost_floor` (0.0
+    when no objective term can be negative): no later iterate could
+    replace either incumbent, so the result is the one the full run
+    would return, with fewer ``iterations``, a shorter ``history`` and
+    fewer draws from a ``seed`` generator.  Under ``B = 0`` (the
+    bootstrap) that is the first feasible iterate; with a real ``B``
+    it takes an assignment that costs nothing, which is optimal.
 penalty:
     Timing-violation penalty; see :func:`resolve_penalty` (``None``
     auto-scales, ``"paper"`` is the fixed 50, ``"theorem1"`` the exact
@@ -85,8 +94,9 @@ budget:
 checkpointer:
     Optional :class:`repro.runtime.checkpoint.QbpCheckpointer`.
     Snapshots the full iteration state (including the RNG state)
-    every ``checkpointer.every`` iterations and at budget-forced
-    stops, so a killed run can resume bit-exactly.
+    every ``checkpointer.every`` iterations, at the last iteration, at
+    the floor exit and at budget-forced stops, so a killed run can
+    resume bit-exactly.
 resume:
     A :class:`repro.runtime.checkpoint.QbpCheckpoint` to continue
     from (``initial`` is then ignored).  A resumed run reproduces
@@ -94,7 +104,8 @@ resume:
 telemetry:
     Optional :class:`~repro.obs.telemetry.Telemetry`; ``None`` uses
     the ambient instance.  When enabled, the solve runs inside a
-    ``qbp.solve`` span, every iteration emits an
+    ``qbp.solve`` span (with ``floor_exit_iteration`` set when the
+    floor exit fired), every iteration emits an
     :class:`~repro.obs.events.IterationEvent` and bumps the
     ``solver.iterations`` counter, and the inner GAP ladder reports
     fallbacks.  Telemetry never alters the computation; a sink that

@@ -36,6 +36,12 @@ def bootstrap_initial_solution(
     feasible solution in a few iterations").  Returns a C1+C2-feasible
     assignment usable as the shared start for QBP/GFM/GKL.
 
+    ``iterations`` is a cap per attempt, not a count: without a linear
+    term every zero-``B`` assignment costs 0, the floor of
+    :meth:`~repro.core.objective.ObjectiveEvaluator.cost_floor`, so
+    :func:`~repro.solvers.qbp.iteration.solve_qbp`'s exact floor exit
+    ends an attempt at its first feasible iterate.
+
     Each attempt starts from a fresh randomized greedy placement and
     finishes with min-conflicts repair (the zero-``B`` iteration drives
     violations down globally but can stall with a small residue).  Each

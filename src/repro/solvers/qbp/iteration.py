@@ -41,7 +41,7 @@ from repro.solvers.qbp.formulation import (
     resolve_penalty,
     validated_initial,
 )
-from repro.solvers.repair import feasible_merge
+from repro.solvers.repair import feasible_merge, repair_feasibility
 from repro.utils.rng import RandomSource
 
 logger = logging.getLogger(__name__)
@@ -200,6 +200,7 @@ def solve_qbp(
     effective_iterations = (
         iterations if budget is None else budget.iteration_cap(iterations)
     )
+    cost_floor = evaluator.cost_floor()
     stop_reason = STOP_COMPLETED
     last_completed = start_iteration
 
@@ -218,6 +219,16 @@ def solve_qbp(
 
     try:
         for k in range(start_iteration + 1, effective_iterations + 1):
+            if best_feas_cost <= cost_floor:
+                # Exact early exit: no cost falls below the floor, and a
+                # penalized cost only swaps non-negative terms for
+                # non-negative penalties, so no later candidate could pass
+                # either incumbent's strict ``< best - 1e-12`` test below.
+                # Under B = 0 this stops at the first feasible iterate.
+                solve_span.set("floor_exit_iteration", last_completed)
+                if checkpointer is not None:
+                    safe_checkpoint(last_completed)
+                break
             if budget is not None:
                 reason = budget.check()
                 if reason is not None:
@@ -291,16 +302,16 @@ def solve_qbp(
                 and evaluator.timing_violation_count(part) > 0
             ):
                 # A raw iterate cheaper than the feasible incumbent is worth
-                # a real (bounded) min-conflicts repair attempt - these are
-                # rare after warmup, so the cost stays negligible.
-                from repro.solvers.repair import repair_feasibility
-
+                # a real (bounded) min-conflicts repair attempt.  Under
+                # B = 0 every infeasible iterate qualifies until the first
+                # feasible one (ROADMAP direction 1).
                 strong = repair_feasibility(
                     problem,
                     Assignment(part, m),
                     max_moves=repair_moves,
                     seed=rng,
                     evaluator=evaluator,
+                    index=state.timing_index,
                 )
                 if strong is not None:
                     candidates.append(strong.part)

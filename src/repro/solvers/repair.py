@@ -33,6 +33,7 @@ def repair_feasibility(
     max_moves: int = 20000,
     seed: RandomSource = None,
     evaluator=None,
+    index: Optional[TimingIndex] = None,
 ) -> Optional[Assignment]:
     """Try to drive ``assignment`` to zero timing violations.
 
@@ -43,7 +44,9 @@ def repair_feasibility(
     When an :class:`~repro.core.objective.ObjectiveEvaluator` is passed
     as ``evaluator``, conflict-count ties between candidate moves are
     broken by objective delta, so the repaired solution stays close in
-    cost to the input (used by the QBP iterate projection).
+    cost to the input (used by the QBP iterate projection).  ``index``
+    is a prebuilt :class:`TimingIndex` of ``problem``, as for
+    :func:`feasible_merge`; ``None`` builds one.
 
     Each step makes these random draws from ``seed``, in order:
 
@@ -65,7 +68,8 @@ def repair_feasibility(
         return Assignment(part, problem.num_partitions)
 
     rng = ensure_rng(seed)
-    index = TimingIndex(problem.timing, problem.delay_matrix)
+    if index is None:
+        index = TimingIndex(problem.timing, problem.delay_matrix)
     sizes = problem.sizes()
     size = sizes.tolist()
     cap = problem.capacities().tolist()

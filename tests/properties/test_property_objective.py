@@ -2,11 +2,12 @@
 
 The central mathematical identity of the paper - the objective equals
 ``yT Q y`` under the flattening - is checked on randomly generated
-problems, along with the exactness of incremental deltas.
+problems, along with the exactness of incremental deltas and the cost
+floor that ``solve_qbp``'s early exit relies on.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.assignment import Assignment
@@ -14,7 +15,10 @@ from repro.core.objective import ObjectiveEvaluator
 from repro.core.problem import PartitioningProblem
 from repro.core.qmatrix import build_q_dense, quadratic_form
 from repro.netlist.circuit import Circuit
+from repro.solvers.qbp.formulation import resolve_penalty
 from repro.topology.grid import grid_topology
+
+from tests.properties.test_property_delta import problems as timed_problems
 
 
 @st.composite
@@ -93,10 +97,48 @@ def test_normalization_preserves_costs(problem, seed):
         assert abs(ev_orig.cost(a) - ev_norm.cost(a)) < 1e-8
 
 
-@settings(max_examples=30, deadline=None)
-@given(problems(), st.integers(0, 2**31))
+@settings(max_examples=40, deadline=None)
+@given(timed_problems(), st.integers(0, 2**31))
 def test_cost_nonnegative(problem, seed):
+    """The cost floor, 0.0 on a validated problem, bounds the cost and the
+    penalized cost of every assignment."""
     rng = np.random.default_rng(seed)
     evaluator = ObjectiveEvaluator(problem)
-    a = Assignment.uniform_random(problem.num_components, problem.num_partitions, rng)
-    assert evaluator.cost(a) >= 0.0
+    floor = evaluator.cost_floor()
+    assert floor == 0.0
+    penalty = resolve_penalty(problem, None)
+    for _ in range(5):
+        a = Assignment.uniform_random(problem.num_components, problem.num_partitions, rng)
+        assert evaluator.cost(a) >= floor
+        assert evaluator.penalized_cost(a, penalty) >= floor
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    timed_problems(),
+    st.sampled_from(["alpha", "beta", "B", "wires", "P"]),
+    st.data(),
+)
+def test_floor_is_minus_inf_when_a_term_can_go_negative(problem, term, data):
+    # PartitioningProblem rejects negative terms, so one sign is flipped
+    # on the evaluator's own copy of that term.
+    evaluator = ObjectiveEvaluator(problem)
+    m, n = problem.num_partitions, problem.num_components
+    if term in ("alpha", "P"):
+        assume(evaluator.P is not None)
+    if term == "wires":
+        assume(evaluator.wire_w.size > 0)
+    if term == "alpha":
+        evaluator.alpha = -evaluator.alpha
+    elif term == "beta":
+        evaluator.beta = -evaluator.beta
+    elif term == "B":
+        evaluator.B = evaluator.B.copy()
+        evaluator.B[data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))] = -1.0
+    elif term == "wires":
+        evaluator.wire_w = evaluator.wire_w.copy()
+        evaluator.wire_w[data.draw(st.integers(0, evaluator.wire_w.size - 1))] = -1.0
+    else:
+        evaluator.P = evaluator.P.copy()
+        evaluator.P[data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))] = -1.0
+    assert evaluator.cost_floor() == -np.inf

@@ -7,8 +7,9 @@ pins what the ladder returned or raised, its rung spans (name,
 attributes, parent), its ``fallback`` events and the
 ``supervisor.fallbacks`` count.  The expected values are those the
 ``SolverSupervisor`` implementation of these ladders produced, except
-the harness ladder's label: ``paper.initial`` where it was the default
-``supervisor``.
+the harness ladder's label (``paper.initial`` where it was the default
+``supervisor``) and the spans of the starts the two initial-solution
+ladders build outside their rungs, which it did not record.
 
 The rung bodies of the bootstrap and of the initial-solution ladders
 are stubs, so only the ladders themselves are pinned; the GAP ladder
@@ -184,6 +185,11 @@ def span(name, ladder, try_index=0, error=None, parent=None):
     return (name, attrs, parent)
 
 
+def outside(name, ladder):
+    """The span of a start built outside the ladder's rung tries."""
+    return (name, {"ladder": ladder}, None)
+
+
 def boot(try_index=0, error=None):
     return span("qbp-bootstrap", "bootstrap", try_index, error, "qbp.bootstrap")
 
@@ -276,12 +282,12 @@ EXPECTED = {
     ),
     ("supervised", "spent"): (
         ("returned", ("greedy", "greedy-capacity-only")),
-        [],
+        [outside("greedy-capacity-only", SUP)],
         [skipped(SUP, "qbp-bootstrap", True)],
     ),
     ("supervised", "inside"): (
         ("returned", ("greedy", "greedy-capacity-only")),
-        [span("qbp-bootstrap", SUP, error=BUDGET_E)],
+        [span("qbp-bootstrap", SUP, error=BUDGET_E), outside("greedy-capacity-only", SUP)],
         [skipped(SUP, "qbp-bootstrap", False)],
     ),
     ("paper", "first"): (("returned", "bootstrap"), [span("paper-bootstrap", PAPER)], []),
@@ -295,6 +301,7 @@ EXPECTED = {
         [
             span("paper-bootstrap", PAPER, error=RUN_E),
             span("reference-fallback", PAPER, error=RUN_E),
+            outside("reference-fallback", PAPER),
         ],
         [
             failed(PAPER, "paper-bootstrap", NO_BOOTSTRAP),
@@ -302,11 +309,13 @@ EXPECTED = {
         ],
     ),
     ("paper", "spent"): (
-        ("returned", "reference"), [], [skipped(PAPER, "paper-bootstrap", True)]
+        ("returned", "reference"),
+        [outside("reference-fallback", PAPER)],
+        [skipped(PAPER, "paper-bootstrap", True)],
     ),
     ("paper", "inside"): (
         ("returned", "reference"),
-        [span("paper-bootstrap", PAPER, error=BUDGET_E)],
+        [span("paper-bootstrap", PAPER, error=BUDGET_E), outside("reference-fallback", PAPER)],
         [skipped(PAPER, "paper-bootstrap", False)],
     ),
 }

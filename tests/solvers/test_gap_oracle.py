@@ -338,8 +338,12 @@ def recording_rung(solver, log):
 def test_full_size_shared_start_matches_reference(monkeypatch):
     # The shared start of the full-size cktb twin (Table II's protocol at
     # Table I's seed, solver seed 0): 40 zero-B Burkard iterations, each
-    # with two GAP solves at N=357, then the min-conflicts repair.  Every
-    # GAP outcome along the way must match too, not only the start.
+    # with two GAP solves at N=357, and the iterate repair.  Every GAP
+    # outcome along the way must match too, not only the start.  The
+    # floor exit would stop the bootstrap after its first iteration; a
+    # floor of -inf keeps all 40, trust-rung solves included, and gives
+    # the same start.
+    monkeypatch.setattr(ObjectiveEvaluator, "cost_floor", lambda self: -np.inf)
     workload = build_workload("cktb", scale=1.0, seed=BASE_SEED)
     got_log, want_log = [], []
     monkeypatch.setattr(iteration, "solve_gap", recording_rung(solve_gap, got_log))
@@ -350,11 +354,12 @@ def test_full_size_shared_start_matches_reference(monkeypatch):
 
     repairs = []
 
-    def reference_repair(*args, **kwargs):
+    def reference_repair(*args, index=None, **kwargs):
         repairs.append(args)
         return repair_oracle.repair_feasibility(*args, **kwargs)
 
     monkeypatch.setattr(iteration, "solve_gap", recording_rung(reference, want_log))
+    monkeypatch.setattr(iteration, "repair_feasibility", reference_repair)
     monkeypatch.setattr(repair, "repair_feasibility", reference_repair)
     want = shared_initial_solution(workload, seed=0)
     assert want_log and repairs

@@ -3,9 +3,10 @@
 :mod:`tests.solvers.repair_oracle` keeps the numpy form of
 :func:`~repro.solvers.repair.repair_feasibility`.  Both run from the same
 start with generators seeded alike, and must return the same assignment
-(or both ``None``) and leave their generators in the same state.  The
-instances are tight enough to reach the swap step, the stall kick and
-the move budget.
+(or both ``None``) and leave their generators in the same state, whether
+the production repair builds its own ``TimingIndex`` or reuses one built
+once per problem, as ``solve_qbp`` passes it.  The instances are tight
+enough to reach the swap step, the stall kick and the move budget.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.constraints import TimingIndex
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.problem import PartitioningProblem
 from repro.netlist.generate import ClusteredCircuitSpec, generate_clustered_circuit
@@ -66,22 +68,25 @@ def test_same_result_and_generator_state(cost_aware, monkeypatch):
     for seed in range(4):
         problem, start = tight_instance(seed)
         evaluator = ObjectiveEvaluator(problem) if cost_aware else None
+        index = TimingIndex(problem.timing, problem.delay_matrix)
         for max_moves in (50, 3000):
-            rng = np.random.default_rng(seed)
-            got = repair_feasibility(
-                problem, start, seed=rng, evaluator=evaluator, max_moves=max_moves
-            )
             reference_rng = KickCounter(seed)
             want = repair_oracle.repair_feasibility(
                 problem, start, seed=reference_rng, evaluator=evaluator,
                 max_moves=max_moves,
             )
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None
-                assert np.array_equal(got.part, want.part)
-            assert rng.bit_generator.state == reference_rng.bit_generator.state
+            for prebuilt in (None, index):
+                rng = np.random.default_rng(seed)
+                got = repair_feasibility(
+                    problem, start, seed=rng, evaluator=evaluator,
+                    max_moves=max_moves, index=prebuilt,
+                )
+                if want is None:
+                    assert got is None
+                else:
+                    assert got is not None
+                    assert np.array_equal(got.part, want.part)
+                assert rng.bit_generator.state == reference_rng.bit_generator.state
             outcomes.append(want is not None)
             kicks += reference_rng.kicks
     # The instances reach every path: repaired and exhausted budgets,

@@ -58,6 +58,16 @@ class TestCheckFunction:
         problems = check_bench_mod.check_bench(current, snapshot)
         assert any("missing from run" in p for p in problems)
 
+    def test_zero_baseline_counter_pins_the_count_at_zero(self, snapshot):
+        # Snapshots hold no zero counters, so a missing one reads as 0.
+        baseline = copy.deepcopy(snapshot)
+        baseline["counters"]["supervisor.fallbacks"] = 0.0
+        assert check_bench_mod.check_bench(snapshot, baseline) == []
+        current = copy.deepcopy(snapshot)
+        current["counters"]["supervisor.fallbacks"] = 1.0
+        problems = check_bench_mod.check_bench(current, baseline)
+        assert any("supervisor.fallbacks" in p for p in problems)
+
     def test_new_counter_is_not_a_failure(self, snapshot):
         current = copy.deepcopy(snapshot)
         current["counters"]["pool.task_failures"] = 1.0
