@@ -17,6 +17,14 @@ hill-climbing) is applied and its component locked; at the end of the
 pass the solution rolls back to the best prefix.  Passes repeat until a
 pass yields no improvement ("runs till no more improvement is
 possible").
+
+The rollback is one :meth:`~repro.engine.delta.DeltaCache.apply_moves`
+call: the moves beyond the best prefix, last first.  The kernel does
+their bookkeeping in that order, so the loads are the floats undoing
+them one by one would give, and refreshes the union of their footprints
+once; a refreshed row is recomputed from the final assignment over the
+same nonzeros in the same order as a full rebuild, so the rows are the
+same floats too.  Only the state after the last undo is ever read.
 """
 
 from __future__ import annotations
@@ -164,7 +172,6 @@ def _run_pass(
             best_cumulative = cumulative
             best_prefix = len(trail)
 
-    # Roll back every move beyond the best prefix.
-    for j, previous in reversed(trail[best_prefix:]):
-        engine.apply_move(j, previous)
+    # Roll back every move beyond the best prefix, last move first.
+    engine.apply_moves(reversed(trail[best_prefix:]))
     return best_cumulative, best_prefix

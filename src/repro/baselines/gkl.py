@@ -24,6 +24,13 @@ argmin rather than a rebuild of the whole matrix and its masks.  A
 selected pair is confirmed with an exact feasibility check before being
 applied (the vectorised timing mask is approximate for pairs with a
 mutual constraint).
+
+The rollback sends the pairs beyond the best prefix home with one
+:meth:`~repro.engine.delta.DeltaCache.apply_moves` call, in the order
+swapping each back would move them (last pair first, ``j1`` then
+``j2``), so the loads are the same floats; the kernel refreshes the
+union of their footprints once, and a refreshed row is the full
+rebuild's float whatever else is refreshed with it.
 """
 
 from __future__ import annotations
@@ -171,7 +178,7 @@ def _run_pass(
     for first in range(0, n, _BLOCK_ROWS):
         rows = np.arange(first, min(first + _BLOCK_ROWS, n))
         scores[rows] = _score_rows(engine, rows, locked)
-    trail: List[Tuple[int, int]] = []  # swapped pairs, in order
+    trail: List[Tuple[int, int, int, int]] = []  # (j1, home, j2, home), in order
     cumulative = 0.0
     best_cumulative = 0.0
     best_prefix = 0
@@ -184,22 +191,27 @@ def _run_pass(
         if pair is None:
             break
         j1, j2, delta = pair
+        trail.append((j1, int(engine.part[j1]), j2, int(engine.part[j2])))
         engine.apply_swap(j1, j2)
         locked[j1] = locked[j2] = True
-        trail.append((j1, j2))
         cumulative -= delta
         if cumulative > best_cumulative + 1e-12:
             best_cumulative = cumulative
             best_prefix = len(trail)
         _rescore(engine, scores, locked, j1, j2)
 
-    for j1, j2 in reversed(trail[best_prefix:]):
-        engine.apply_swap(j1, j2)  # swapping back undoes the move exactly
+    # Send each pair home, last pair first and j1 before j2: the moves
+    # swapping back would make, in their order.
+    engine.apply_moves(
+        move
+        for j1, i1, j2, i2 in reversed(trail[best_prefix:])
+        for move in ((j1, i1), (j2, i2))
+    )
     return best_cumulative, best_prefix
 
 
 _BLOCK_ROWS = 32
-"""Rows per block when a pass scores components (bounds the temporaries)."""
+"""Rows per block when a pass scores every component (bounds the temporaries)."""
 
 
 def _score_rows(engine: DeltaCache, rows: np.ndarray, locked: np.ndarray) -> np.ndarray:
@@ -220,7 +232,13 @@ def _score_rows(engine: DeltaCache, rows: np.ndarray, locked: np.ndarray) -> np.
 def _rescore(
     engine: DeltaCache, scores: np.ndarray, locked: np.ndarray, j1: int, j2: int
 ) -> None:
-    """Bring ``scores`` up to date after ``j1`` and ``j2`` swapped and locked."""
+    """Bring ``scores`` up to date after ``j1`` and ``j2`` swapped and locked.
+
+    The dirty rows are scored in one :func:`_score_rows` call.  A row's
+    scores read only its own inputs and the whole-state arrays, never
+    which rows share its block, so one call gives the floats row blocks
+    would.
+    """
     part = engine.part
     dirty = (part == part[j1]) | (part == part[j2])
     for j in (j1, j2):
@@ -231,12 +249,10 @@ def _rescore(
     for j in (j1, j2):
         scores[j, :] = np.inf
         scores[:, j] = np.inf
-    dirty_rows = np.flatnonzero(dirty)
-    for first in range(0, dirty_rows.size, _BLOCK_ROWS):
-        rows = dirty_rows[first:first + _BLOCK_ROWS]
-        block = _score_rows(engine, rows, locked)
-        scores[rows, :] = block
-        scores[:, rows] = block.T
+    rows = np.flatnonzero(dirty)
+    block = _score_rows(engine, rows, locked)
+    scores[rows, :] = block
+    scores[:, rows] = block.T
 
 
 def _best_swap(

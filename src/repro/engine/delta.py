@@ -31,6 +31,14 @@ is the same arithmetic over every row); the timing rows are one
 vectorised fold over the constraint list.  GKL reads the same footprint
 to find the swap scores a swap invalidates.
 
+A batch of moves (:meth:`DeltaCache.apply_moves`, GFM's and GKL's
+best-prefix rollbacks) does each move's bookkeeping in order, then
+refreshes the union of the moves' footprints once from the final
+assignment.  A refreshed row is summed over its own nonzeros in their
+stored order whichever rows share its slice, so the batch leaves the
+floats the moves applied one at a time would, while a row that several
+moves touch is recomputed once.
+
 The same precomputed sparse views also back the Burkard iteration's
 STEP 3 vector: :meth:`eta` evaluates the per-component x per-partition
 marginal-cost rows of ``Q_hat`` directly from the sparse
@@ -45,7 +53,7 @@ solvers and baselines build on it, never the other way around.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -85,9 +93,12 @@ class DeltaStats:
     telemetry off) and *drained* into ``delta.*`` counters by
     :meth:`publish`.  The split the counters expose is the cache's
     hit/miss story: ``row_refreshes``/``timing_row_refreshes`` are the
-    incremental updates (cache hits - only neighbour rows recomputed),
-    ``full_rebuilds`` are the full ``(N, M)`` recomputations (misses:
-    construction, :meth:`DeltaCache.reset`).
+    rows the incremental updates recomputed (cache hits - only
+    neighbour rows, each row once per refresh, however many moves of a
+    batch touched it), ``full_rebuilds`` are the full ``(N, M)``
+    recomputations (misses: construction, :meth:`DeltaCache.reset`).
+    ``moves`` counts every applied move, batched or not; ``swaps``
+    counts :meth:`DeltaCache.apply_swap` calls that swapped.
     """
 
     __slots__ = (
@@ -421,15 +432,27 @@ class DeltaCache:
             partners.update(k for k, _ in self.timing_index._out[j])
             partners.update(k for k, _ in self.timing_index._in[j])
             constrained = sorted(k for k in partners if self.timing_index.degree(k))
-            timing_rows = np.asarray(constrained, dtype=np.intp)
-            slice_rows = np.concatenate((rows, rows + self.n))
-            starts = self._io_indptr[slice_rows]
-            lengths = self._io_indptr[slice_rows + 1] - starts
-            indptr = np.zeros(slice_rows.size + 1, dtype=self._io_indptr.dtype)
-            np.cumsum(lengths, out=indptr[1:])
-            fp = MoveFootprint(rows, timing_rows, indptr, starts - indptr[:-1], lengths)
+            fp = self._layout(rows, np.asarray(constrained, dtype=np.intp))
             self._footprints[j] = fp
         return fp
+
+    def _layout(self, rows: np.ndarray, timing_rows: np.ndarray) -> MoveFootprint:
+        """The footprint of sorted ``rows`` and ``timing_rows``: where the
+        delta rows' entries lie in the stacked ``A.T``/``A`` arrays."""
+        slice_rows = np.concatenate((rows, rows + self.n))
+        starts = self._io_indptr[slice_rows]
+        lengths = self._io_indptr[slice_rows + 1] - starts
+        indptr = np.zeros(slice_rows.size + 1, dtype=self._io_indptr.dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        return MoveFootprint(rows, timing_rows, indptr, starts - indptr[:-1], lengths)
+
+    def _refresh(self, fp: MoveFootprint) -> None:
+        """Recompute the delta and timing rows of ``fp`` and count them."""
+        self._refresh_rows(fp)
+        self.stats.row_refreshes += fp.rows.size
+        if fp.timing_rows.size:
+            self.timing_block[fp.timing_rows, :] = self._timing_rows(fp.timing_rows)
+            self.stats.timing_row_refreshes += fp.timing_rows.size
 
     def _refresh_rows(self, fp: MoveFootprint) -> None:
         """Recompute the delta rows of ``fp``.
@@ -513,21 +536,47 @@ class DeltaCache:
         if old_i == new_i:
             return 0.0
         moved_delta = float(self.delta[j, new_i])
+        self._record_move(j, old_i, new_i)
+        # Wire neighbours' deltas and constraint partners' timing rows
+        # depend on j's position; refresh exactly those.
+        self._refresh(self.footprint(j))
+        return moved_delta
+
+    def apply_moves(self, moves: Iterable[Tuple[int, int]]) -> None:
+        """Apply ``(component, partition)`` moves in order, refreshing once.
+
+        Each move's bookkeeping (partition, loads, maintained ``B``
+        rows) is :meth:`apply_move`'s, in the given order, so the loads
+        are the same floats; no-op moves are skipped.  The union of the
+        moved components' footprints is then refreshed once from the
+        final assignment.  A refreshed row is recomputed over the same
+        nonzeros in the same order whichever rows share its slice, so
+        the state equals the moves applied one at a time, bit for bit,
+        while each row is refreshed once rather than once per move that
+        touches it.
+        """
+        moved = []
+        for j, new_i in moves:
+            old_i = int(self.part[j])
+            if old_i != new_i:
+                self._record_move(j, old_i, new_i)
+                moved.append(j)
+        if moved:
+            footprints = [self.footprint(j) for j in moved]
+            self._refresh(
+                self._layout(
+                    np.unique(np.concatenate([fp.rows for fp in footprints])),
+                    np.unique(np.concatenate([fp.timing_rows for fp in footprints])),
+                )
+            )
+
+    def _record_move(self, j: int, old_i: int, new_i: int) -> None:
+        """Move ``j`` in the partition, load and ``B``-row bookkeeping."""
         self.part[j] = new_i
         self.capacity.apply_move(j, old_i, new_i)
         self._b_both[j] = self.B[new_i, :]
         self._b_both[self.n + j] = self.BT[new_i, :]
         self.stats.moves += 1
-
-        # Wire neighbours' deltas and constraint partners' timing rows
-        # depend on j's position; refresh exactly those.
-        fp = self.footprint(j)
-        self._refresh_rows(fp)
-        self.stats.row_refreshes += fp.rows.size
-        if fp.timing_rows.size:
-            self.timing_block[fp.timing_rows, :] = self._timing_rows(fp.timing_rows)
-            self.stats.timing_row_refreshes += fp.timing_rows.size
-        return moved_delta
 
     def apply_swap(self, j1: int, j2: int) -> float:
         """Exchange two components; returns the exact objective delta.
@@ -658,9 +707,15 @@ class DeltaCache:
     # Consistency audit (used by tests)
     # ------------------------------------------------------------------
     def audit(self) -> None:
-        """Raise ``AssertionError`` if incremental state drifted."""
-        expected_delta = self._full_delta()
-        if not np.allclose(self.delta, expected_delta, atol=1e-6):
+        """Raise ``AssertionError`` if incremental state drifted.
+
+        The delta matrix must be the full rebuild's floats byte for
+        byte (a refreshed row sums the same nonzeros in the same order)
+        and the timing block its exact counts.  The loads are compared
+        within a tolerance: they are running sums, not a fresh
+        ``bincount``.
+        """
+        if self.delta.tobytes() != self._full_delta().tobytes():
             raise AssertionError("incremental delta matrix drifted from ground truth")
         expected_block = self._full_timing_block()
         if not np.array_equal(self.timing_block, expected_block):

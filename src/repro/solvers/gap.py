@@ -310,7 +310,10 @@ def _construct(
         regret, best_i = info
         # Negate regret for a max-heap; ties broken by larger size
         # (harder to place) and then index for determinism.
-        heapq.heappush(heap, (-regret, -size[j], j, best_i))
+        heap.append((-regret, -size[j], j, best_i))
+    # Keys are unique by item index, so the pops follow key order
+    # whatever the heap's layout.
+    heapq.heapify(heap)
 
     pops = 0
     while heap:

@@ -2,15 +2,20 @@
 
 import pytest
 
+from repro.baselines import gkl
 from repro.baselines.gkl import gkl_partition
 from repro.core.assignment import Assignment
 from repro.core.constraints import check_feasibility
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.problem import PartitioningProblem
+from repro.engine.delta import DeltaCache
 from repro.netlist.generate import ClusteredCircuitSpec, generate_clustered_circuit
 from repro.solvers.greedy import greedy_feasible_assignment
 from repro.timing.constraints import synthesize_feasible_constraints
 from repro.topology.grid import grid_topology
+
+from tests.baselines import gkl_oracle
+from tests.baselines.test_gkl_oracle import random_instance
 
 
 @pytest.fixture
@@ -91,3 +96,21 @@ class TestWithTiming:
         problem, start = timed
         result = gkl_partition(problem, start, max_outer_loops=4)
         assert result.feasible
+
+
+class TestRollback:
+    @pytest.mark.parametrize("seed", [0, 2, 5])
+    def test_same_state_as_swapping_back(self, seed):
+        # The batched rollback sends each pair home in the order swapping
+        # back would: the loads are running sums, so another order would
+        # change them in the last bits.
+        problem, start = random_instance(seed, timed=seed != 2)
+        engine = DeltaCache(problem, start)
+        reference = DeltaCache(problem, start)
+        for _ in range(6):
+            expected = gkl_oracle._run_pass(reference, None)
+            assert gkl._run_pass(engine, None) == expected
+            for name in ("part", "delta", "timing_block", "loads"):
+                assert getattr(engine, name).tobytes() == getattr(reference, name).tobytes()
+            if expected[0] <= 1e-9:
+                break

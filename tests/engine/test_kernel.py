@@ -60,7 +60,7 @@ def linear_timed_problem():
     return PartitioningProblem(circuit, topo, timing=timing, linear_cost=linear, alpha=0.6)
 
 
-def uncached_refreshes(problem, j):
+def uncached_footprint(problem, j):
     """(delta rows, timing rows) one move of ``j`` refreshes, from the problem."""
     touched = {j}
     for wire in problem.circuit.wires():
@@ -69,7 +69,13 @@ def uncached_refreshes(problem, j):
     pairs = [(j1, j2) for j1, j2, _ in problem.timing.items()]
     constrained = {k for pair in pairs for k in pair}
     partners = {j} | {k for pair in pairs if j in pair for k in pair}
-    return len(touched), len(partners & constrained)
+    return touched, partners & constrained
+
+
+def uncached_refreshes(problem, j):
+    """How many delta rows and timing rows one move of ``j`` refreshes."""
+    rows, timing_rows = uncached_footprint(problem, j)
+    return len(rows), len(timing_rows)
 
 
 # Loose capacity (every move fits), no timing, and a capacity of three
@@ -176,3 +182,45 @@ class TestFootprintCache:
         assert cache.footprint(1) is footprint
         cache.reset(initial(problem))
         assert cache.footprint(1) is footprint
+
+
+class TestBatchedMoves:
+    STATE = ("part", "delta", "timing_block", "loads", "_b_both")
+
+    def test_batch_equals_moves_one_at_a_time(self):
+        problem = linear_timed_problem()
+        n, m = problem.num_components, problem.num_partitions
+        batched = DeltaCache(problem, initial(problem))
+        single = DeltaCache(problem, initial(problem))
+        rng = np.random.default_rng(11)
+        for step in range(24):
+            if step == 12:
+                start = Assignment(rng.integers(0, m, n), m)
+                batched.reset(start)
+                single.reset(start)
+            # Components repeat within a batch (a few are drawn from three),
+            # some moves stay put, and the last batch moves nothing at all.
+            part = batched.part.copy()
+            moves, rows, timing_rows = [], set(), set()
+            for _ in range(int(rng.integers(1, 8)) if step < 23 else 3):
+                j = int(rng.choice(3)) if rng.random() < 0.3 else int(rng.integers(0, n))
+                stay = step == 23 or rng.random() < 0.25
+                i = int(part[j]) if stay else int(rng.integers(0, m))
+                moves.append((j, i))
+                if i != part[j]:
+                    touched, constrained = uncached_footprint(problem, j)
+                    rows |= touched
+                    timing_rows |= constrained
+                part[j] = i
+            before = (batched.stats.row_refreshes, batched.stats.timing_row_refreshes)
+            batched.apply_moves(iter(moves))
+            for j, i in moves:
+                single.apply_move(j, i)
+            for name in self.STATE:
+                assert getattr(batched, name).tobytes() == getattr(single, name).tobytes(), name
+            assert batched.stats.moves == single.stats.moves
+            # Each row of the union is refreshed once.
+            assert batched.stats.row_refreshes == before[0] + len(rows)
+            assert batched.stats.timing_row_refreshes == before[1] + len(timing_rows)
+        assert batched.stats.moves > 0
+        batched.audit()
